@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .experiment import InvariantViolation, run_experiment, run_kw_only
+from .experiment import InvariantViolation, default_workers, run_experiment, run_kw_only
 from .stats import NoHeralds, ZeroCoincidences
 from .harness import (
     MODE_INDEPENDENT,
@@ -57,24 +57,6 @@ class RunConfig:
     sweep_gamma: list[float] = field(default_factory=lambda: [1.5, 2.0])
     out: str = "."
 
-    def validate(self) -> None:
-        if self.r < 0:
-            raise InvalidConfig(f"r must be >= 0, got {self.r}")
-        if self.gamma < 0:
-            raise InvalidConfig(f"gamma must be >= 0, got {self.gamma}")
-        for name in ("t1", "t2", "t3"):
-            t = getattr(self, name)
-            if not 0.0 <= t <= 1.0:
-                raise InvalidConfig(f"{name} must lie in [0, 1], got {t}")
-        if self.samples < 1:
-            raise InvalidConfig(f"samples must be >= 1, got {self.samples}")
-        if self.reps < 1:
-            raise InvalidConfig(f"reps must be >= 1, got {self.reps}")
-        if self.mode not in (MODE_INDEPENDENT, MODE_SHARED):
-            raise InvalidConfig(
-                f"mode must be {MODE_INDEPENDENT!r} or {MODE_SHARED!r}, got {self.mode!r}"
-            )
-
     def optics(self) -> OpticalParams:
         return OpticalParams(
             t1=self.t1, t2=self.t2, t3=self.t3, theta1=self.theta1, theta2=self.theta2
@@ -94,38 +76,72 @@ class RunConfig:
         return ExperimentPlan(**kwargs)
 
 
+def sweep_plans(cfg: RunConfig) -> list[tuple[float, float, ExperimentPlan]]:
+    """(r, gamma, plan) of every sweep grid point, in sweep.csv row order."""
+    return [
+        (r, gamma, cfg.plan(source=SourceParams(r=r), gamma=gamma))
+        for gamma in cfg.sweep_gamma
+        for r in cfg.sweep_r
+    ]
+
+
+def _json_type_ok(value, annotation: str) -> bool:
+    """Whether a config-file value has the JSON type of a RunConfig field
+    annotated `annotation`; booleans do not count as numbers."""
+    if annotation == "list[float]":
+        return isinstance(value, list) and all(_json_type_ok(v, "float") for v in value)
+    kinds = {"float": (int, float), "int": int, "str": str}[annotation]
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
+    """Merge the config file and the flags, then build every plan the
+    command will run: the dataclasses are the validation, and any value
+    they reject raises InvalidConfig."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         try:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as e:
             raise InvalidConfig(f"cannot read config file: {e}") from e
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise InvalidConfig(f"config file is not valid JSON: {e}") from e
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise InvalidConfig(
+                f"config file must hold a JSON object, not {type(doc).__name__}"
+            )
+        types = {f.name: f.type for f in fields(RunConfig)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
+            if not _json_type_ok(value, types[key]):
+                raise InvalidConfig(f"{key} must be {types[key]}, got {value!r}")
             setattr(cfg, key, value)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
-    cfg.validate()
+    if cfg.samples < 1:
+        raise InvalidConfig(f"samples must be >= 1, got {cfg.samples}")
+    sweep = args.command == "sweep"
+    if sweep and not (cfg.sweep_r and cfg.sweep_gamma):
+        raise InvalidConfig("sweep grids must be nonempty")
+    try:
+        default_workers()
+        cfg.plan()
+        if sweep:
+            sweep_plans(cfg)
+    except ValueError as e:
+        raise InvalidConfig(str(e)) from e
     return cfg
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)
 
 
 def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "summary": result.summary,
         "per_rep": [
             {
@@ -186,20 +202,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def sweep_rows(cfg: RunConfig) -> list[dict]:
     rows = []
-    for gamma in cfg.sweep_gamma:
-        for r in cfg.sweep_r:
-            plan = cfg.plan(source=SourceParams(r=r), gamma=gamma)
-            k, w = run_kw_only(plan)
-            rows.append(
-                {
-                    "r": r,
-                    "gamma": gamma,
-                    "K_mean": k["mean"],
-                    "K_std": k["std"],
-                    "W_mean": w["mean"],
-                    "W_std": w["std"],
-                }
-            )
+    for r, gamma, plan in sweep_plans(cfg):
+        k, w = run_kw_only(plan)
+        rows.append(
+            {
+                "r": r,
+                "gamma": gamma,
+                "K_mean": k["mean"],
+                "K_std": k["std"],
+                "W_mean": w["mean"],
+                "W_std": w["std"],
+            }
+        )
     return rows
 
 
@@ -215,8 +229,6 @@ def write_sweep_csv(rows: list[dict], path: Path) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args)
-    if not cfg.sweep_r or not cfg.sweep_gamma:
-        raise InvalidConfig("sweep grids must be nonempty")
     rows = sweep_rows(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -28,8 +28,8 @@ from .harness import (
     T2T3_PLUS,
     ContextCounts,
     ExperimentPlan,
+    _tally,
     counterfactual_chunks,
-    record_counts,
     run_context,
 )
 from .stats import (
@@ -37,6 +37,8 @@ from .stats import (
     PLUS,
     EfficiencyAccumulator,
     EfficiencyReport,
+    Pmf2,
+    correlation,
     marginal_12,
     marginal_lg,
     pmf2_from_counts,
@@ -54,7 +56,10 @@ class InvariantViolation(RuntimeError):
 def default_workers() -> int:
     env = os.environ.get("LGWAVE_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"LGWAVE_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -110,12 +115,9 @@ def _check_counts(c: ContextCounts) -> None:
         raise InvariantViolation(f"count ordering violated: {c}")
 
 
-def _rep_stats(
-    rep: int,
-    counts: list[ContextCounts],
-    eff: EfficiencyReport,
-    shared_counts: list[ContextCounts],
-) -> RepResult:
+def _pmfs(counts: list[ContextCounts]) -> tuple[Pmf2, Pmf2, Pmf2, float, float]:
+    """Check one repetition's nine context counts and reduce them to the
+    PMFs (p12, p13, p23) and the marginal-form (K_marginal, W_marginal)."""
     for c in counts:
         _check_counts(c)
     p13 = pmf2_from_counts(counts[T1T3_PLUS], counts[T1T3_MINUS])
@@ -134,8 +136,16 @@ def _rep_stats(
         raise InvariantViolation(
             f"marginal-form bounds broken: K_marginal={k_marg}, W_marginal={w_marg}"
         )
-    from .stats import correlation
+    return p12, p13, p23, k_marg, w_marg
 
+
+def _rep_stats(
+    rep: int,
+    counts: list[ContextCounts],
+    eff: EfficiencyReport,
+    shared_counts: list[ContextCounts],
+) -> RepResult:
+    p12, p13, p23, k_marg, w_marg = _pmfs(counts)
     return RepResult(
         rep=rep,
         counts=counts,
@@ -152,12 +162,33 @@ def _rep_stats(
 
 
 def _shared_chunk_task(plan: ExperimentPlan, rep: int, chunk: int):
+    (rec,) = counterfactual_chunks(plan, rep, range(chunk, chunk + 1))
     acc = EfficiencyAccumulator()
-    parts = None
-    for rec in counterfactual_chunks(plan, rep, range(chunk, chunk + 1)):
-        acc.update(rec)
-        parts = record_counts(rec)
-    return acc, parts
+    acc.update(rec)
+    return acc, _tally(rec.d1, rec.d2, rec.d3)
+
+
+def _context_tasks(plan: ExperimentPlan) -> dict:
+    """One run_context task per (rep, context index), keyed by that pair."""
+    contexts = plan.contexts
+    return {
+        (rep, j): (run_context, plan, ctx, rep)
+        for rep in range(plan.reps)
+        for j, ctx in enumerate(contexts)
+    }
+
+
+def _run_tasks(tasks: dict, workers: int | None) -> dict:
+    """Run every task (fn, *args) on the thread pool; results keep the keys."""
+    if workers is None:
+        workers = default_workers()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futs = {key: pool.submit(*task) for key, task in tasks.items()}
+        return {key: fut.result() for key, fut in futs.items()}
+
+
+def _rep_counts(results: dict, rep: int) -> list[ContextCounts]:
+    return [results[(rep, j)] for j in range(len(STANDARD_CONTEXT_TABLE))]
 
 
 def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> ExperimentResult:
@@ -167,79 +198,41 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
     streams and a shared-draw pass supplies the counterfactual efficiency
     report; in shared-draws mode the shared pass supplies both.
     """
-    if workers is None:
-        workers = default_workers()
-    contexts = plan.contexts
     independent = plan.mode == MODE_INDEPENDENT
-
-    ctx_tasks = []
-    if independent:
-        ctx_tasks = [(rep, j) for rep in range(plan.reps) for j in range(len(contexts))]
-    shared_tasks = [
-        (rep, c) for rep in range(plan.reps) for c in range(plan.n_chunks())
-    ]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        ctx_futs = {
-            (rep, j): pool.submit(run_context, plan, contexts[j], rep)
-            for rep, j in ctx_tasks
-        }
-        shared_futs = {
-            (rep, c): pool.submit(_shared_chunk_task, plan, rep, c)
-            for rep, c in shared_tasks
-        }
-        ctx_counts = {key: fut.result() for key, fut in ctx_futs.items()}
-        shared_parts = {key: fut.result() for key, fut in shared_futs.items()}
+    tasks = _context_tasks(plan) if independent else {}
+    for rep in range(plan.reps):
+        for c in range(plan.n_chunks()):
+            tasks[("shared", rep, c)] = (_shared_chunk_task, plan, rep, c)
+    results = _run_tasks(tasks, workers)
 
     reps: list[RepResult] = []
     for rep in range(plan.reps):
         acc = EfficiencyAccumulator()
-        shared_counts = [ContextCounts() for _ in contexts]
+        shared_counts = [ContextCounts() for _ in STANDARD_CONTEXT_TABLE]
         for c in range(plan.n_chunks()):
-            part_acc, part_counts = shared_parts[(rep, c)]
+            part_acc, part_counts = results[("shared", rep, c)]
             acc.merge(part_acc)
-            if part_counts is not None:
-                for tot, part in zip(shared_counts, part_counts):
-                    tot.add(part)
-        if independent:
-            counts = [ctx_counts[(rep, j)] for j in range(len(contexts))]
-        else:
-            counts = shared_counts
+            for tot, part in zip(shared_counts, part_counts):
+                tot.add(part)
+        counts = _rep_counts(results, rep) if independent else shared_counts
         reps.append(_rep_stats(rep, counts, acc.report(), shared_counts))
     return ExperimentResult(plan=plan, reps=reps)
 
 
 def run_kw_only(plan: ExperimentPlan, workers: int | None = None):
-    """Lightweight driver for parameter sweeps: per-rep K and W only.
+    """Per-rep K and W only, summarized as (mean, std) each, for sweeps.
 
-    Skips the shared-draw counterfactual pass entirely.
+    In independent-draws mode the shared-draw efficiency pass is skipped;
+    in shared-draws mode that pass supplies the counts, so this is
+    run_experiment's K and W summary.
     """
-    if workers is None:
-        workers = default_workers()
-    contexts = plan.contexts
     if plan.mode == MODE_SHARED:
-        raise ValueError("sweeps use independent-draws mode")
-    tasks = [(rep, j) for rep in range(plan.reps) for j in range(len(contexts))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = {
-            (rep, j): pool.submit(run_context, plan, contexts[j], rep)
-            for rep, j in tasks
-        }
-        ctx_counts = {key: fut.result() for key, fut in futs.items()}
+        summary = run_experiment(plan, workers).summary
+        return summary["K"], summary["W"]
+    results = _run_tasks(_context_tasks(plan), workers)
     ks, ws = [], []
     for rep in range(plan.reps):
-        counts = [ctx_counts[(rep, j)] for j in range(len(contexts))]
-        p13 = pmf2_from_counts(counts[T1T3_PLUS], counts[T1T3_MINUS])
-        p23 = pmf2_from_counts(counts[T2T3_PLUS], counts[T2T3_MINUS])
-        p3 = pmf3_from_counts(
-            {
-                (PLUS, PLUS): counts[T1T2T3_PP],
-                (PLUS, MINUS): counts[T1T2T3_PM],
-                (MINUS, PLUS): counts[T1T2T3_MP],
-                (MINUS, MINUS): counts[T1T2T3_MM],
-            }
-        )
-        p12 = marginal_12(p3)
+        p12, p13, p23, _, _ = _pmfs(_rep_counts(results, rep))
         ks.append(k_statistic(p12, p23, p13))
         ws.append(w_statistic(p13, p23, p12))
     return _mean_std(ks), _mean_std(ws)

@@ -12,6 +12,7 @@ exactly.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .optics import (
     OpticalParams,
     SourceParams,
     detect,
+    require_finite,
     sample_hidden,
     source_output,
     stage1,
@@ -60,15 +62,6 @@ T1T2T3_PP, T1T2T3_PM, T1T2T3_MP, T1T2T3_MM = 5, 6, 7, 8
 
 def standard_contexts(optics: OpticalParams) -> list[Context]:
     return [Context(b=bits, optics=optics) for bits, _, _ in STANDARD_CONTEXT_TABLE]
-
-
-@dataclass
-class DetectionTriple:
-    """Threshold events at the herald detector D1 and the two exits D2, D3."""
-
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
 
 
 @dataclass
@@ -119,10 +112,13 @@ class ExperimentPlan:
             raise ValueError("samples must be >= 0")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        require_finite("gamma", self.gamma)
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if self.mode not in (MODE_INDEPENDENT, MODE_SHARED):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def contexts(self) -> list[Context]:
@@ -142,31 +138,40 @@ class ExperimentPlan:
 
 def evaluate_context(
     h: HiddenState, src: SourceParams, ctx: Context, gamma: float
-) -> DetectionTriple:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full pipeline source -> three stages -> threshold detection.
 
-    The heralding beam a1 is untouched by the interferometer, so d1 depends
-    only on the source draw.  Works on single states or batches.
+    Returns the threshold events (d1, d2, d3) at the herald detector D1 and
+    the two exits D2, D3.  The heralding beam a1 is untouched by the
+    interferometer, so d1 depends only on the source draw.  Works on single
+    states or batches.
     """
     a1, a2, a3 = source_output(h, src)
     a2, a3 = stage1(a2, a3, h, ctx)
     a2, a3 = stage2(a2, a3, h, ctx)
     a2, a3 = stage3(a2, a3, ctx)
-    return DetectionTriple(
-        d1=detect(a1, gamma), d2=detect(a2, gamma), d3=detect(a3, gamma)
-    )
+    return detect(a1, gamma), detect(a2, gamma), detect(a3, gamma)
 
 
-def _tally(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray, n: int) -> ContextCounts:
+def _tally(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> list[ContextCounts]:
+    """Counts of each context on a chunk of n realizations.
+
+    d1 has shape (n,); d2 and d3 have shape (n,) for one context or (n, k)
+    for k contexts evaluated on the same draws, one context per column.
+    """
+    n = d1.shape[0]
+    # One contiguous row per context: counting along rows is the fast axis.
+    d2 = np.ascontiguousarray(d2.reshape(n, -1).T)
+    d3 = np.ascontiguousarray(d3.reshape(n, -1).T)
     coincident = d1 & d2
-    double = coincident & d3
-    return ContextCounts(
-        n_herald=int(d1.sum()),
-        n_plus=int((coincident & ~d3).sum()),
-        n_minus=int((d1 & ~d2 & d3).sum()),
-        n_double=int(double.sum()),
-        n_total=n,
-    )
+    n_herald = int(np.count_nonzero(d1))
+    plus = np.count_nonzero(coincident & ~d3, axis=1)
+    minus = np.count_nonzero(d1 & ~d2 & d3, axis=1)
+    double = np.count_nonzero(coincident & d3, axis=1)
+    return [
+        ContextCounts(n_herald, int(p), int(m), int(dd), n_total=n)
+        for p, m, dd in zip(plus, minus, double)
+    ]
 
 
 def run_context(plan: ExperimentPlan, ctx: Context, rep_index: int) -> ContextCounts:
@@ -174,10 +179,9 @@ def run_context(plan: ExperimentPlan, ctx: Context, rep_index: int) -> ContextCo
     key = SHARED_STREAM_KEY if plan.mode == MODE_SHARED else ctx.bits_int
     total = ContextCounts()
     for c in range(plan.n_chunks()):
-        n = plan.chunk_size(c)
-        h = sample_hidden(plan.chunk_rng(key, rep_index, c), n)
-        t = evaluate_context(h, plan.source, ctx, plan.gamma)
-        total.add(_tally(t.d1, t.d2, t.d3, n))
+        h = sample_hidden(plan.chunk_rng(key, rep_index, c), plan.chunk_size(c))
+        (counts,) = _tally(*evaluate_context(h, plan.source, ctx, plan.gamma))
+        total.add(counts)
     return total
 
 
@@ -194,35 +198,7 @@ def counterfactual_chunks(
         h = sample_hidden(plan.chunk_rng(SHARED_STREAM_KEY, rep_index, c), n)
         d2 = np.empty((n, len(contexts)), dtype=bool)
         d3 = np.empty((n, len(contexts)), dtype=bool)
-        d1 = None
         for j, ctx in enumerate(contexts):
-            t = evaluate_context(h, plan.source, ctx, plan.gamma)
-            if d1 is None:
-                d1 = t.d1
-            d2[:, j] = t.d2
-            d3[:, j] = t.d3
+            d1, d2[:, j], d3[:, j] = evaluate_context(h, plan.source, ctx, plan.gamma)
         yield CounterfactualRecord(d1=d1, d2=d2, d3=d3)
 
-
-def record_counts(rec: CounterfactualRecord) -> list[ContextCounts]:
-    """Per-context tallies of a shared-draw record chunk."""
-    n = rec.d1.shape[0]
-    return [
-        _tally(rec.d1, rec.d2[:, j], rec.d3[:, j], n)
-        for j in range(rec.d2.shape[1])
-    ]
-
-
-def run_counterfactual(
-    plan: ExperimentPlan, rep_index: int
-) -> tuple[list[CounterfactualRecord], list[ContextCounts]]:
-    """Materialize the full shared-draw record of one repetition together
-    with its per-context counts.  Memory is ~19 bits per realization; prefer
-    counterfactual_chunks for streaming aggregation at large sample counts."""
-    records: list[CounterfactualRecord] = []
-    totals = [ContextCounts() for _ in STANDARD_CONTEXT_TABLE]
-    for rec in counterfactual_chunks(plan, rep_index):
-        records.append(rec)
-        for tot, part in zip(totals, record_counts(rec)):
-            tot.add(part)
-    return records, totals

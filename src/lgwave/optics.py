@@ -12,6 +12,7 @@ Detection is a strict threshold crossing on the Jones-vector norm.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,12 @@ SIGMA = 1.0 / np.sqrt(2.0)
 # sample_hidden consumes exactly this many standard normal draws per
 # realization: 7 vectors x 2 components x (real, imag).
 NORMALS_PER_REALIZATION = 28
+
+
+def require_finite(name: str, value: float) -> None:
+    """Reject NaN, infinities and ints too large to become a float."""
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -51,6 +58,7 @@ class SourceParams:
     sigma: float = SIGMA
 
     def __post_init__(self):
+        require_finite("r", self.r)
         if self.r < 0:
             raise ValueError(f"squeezing strength must be >= 0, got {self.r}")
 
@@ -73,6 +81,8 @@ class OpticalParams:
             t = getattr(self, name)
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {t}")
+        require_finite("theta1", self.theta1)
+        require_finite("theta2", self.theta2)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,16 @@ from .harness import (
     standard_contexts,
 )
 from .optics import Context, OpticalParams
-from .stats import MINUS, PLUS, Pmf2, Pmf3, k_statistic, marginal_12, w_statistic
+from .stats import (
+    MINUS,
+    PLUS,
+    Pmf2,
+    Pmf3,
+    correlation,
+    k_statistic,
+    marginal_12,
+    w_statistic,
+)
 
 
 @dataclass(frozen=True)
@@ -121,8 +130,6 @@ def predicted_pmfs(optics: OpticalParams) -> tuple[Pmf2, Pmf2, Pmf3]:
 
 def predicted_stats(optics: OpticalParams) -> dict[str, float]:
     """Quantum K, W and pair correlations from the closed-form amplitudes."""
-    from .stats import correlation
-
     p13, p23, p3 = predicted_pmfs(optics)
     p12 = marginal_12(p3)
     return {

@@ -246,14 +246,6 @@ class EfficiencyAccumulator:
         )
 
 
-def efficiencies(records) -> EfficiencyReport:
-    """EfficiencyReport from an iterable of shared-draw record chunks."""
-    acc = EfficiencyAccumulator()
-    for rec in records:
-        acc.update(rec)
-    return acc.report()
-
-
 def w_decomposition(
     counts: list[ContextCounts], eff: EfficiencyReport
 ) -> dict[str, float]:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lgwave.cli import main
+from lgwave.cli import RunConfig, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,6 +113,78 @@ class TestSweep:
         for line in lines[1:]:
             assert line.endswith(",1.0,1.5")
 
+    def test_shared_draws_mode(self, tmp_path):
+        assert run_cli([
+            "sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
+            "--mode", "shared-draws", "--sweep-r", "0.3", "--sweep-gamma", "1.2",
+            "--out", str(tmp_path),
+        ]) == 0
+        assert len((tmp_path / "sweep.csv").read_text().strip().splitlines()) == 2
+
     def test_empty_grid_rejected(self, capsys):
         assert run_cli(["sweep", "--sweep-r", ""]) == 2
         assert "invalid-config" in capsys.readouterr().err
+
+
+# Small sizes keep a row fast should validation ever let it through to a run.
+SMALL = ["--samples", "64", "--reps", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, workers",
+    [
+        pytest.param(["run", "--seed", "-1", *SMALL], None, None, id="negative-seed"),
+        pytest.param(["run", "--r", "nan", *SMALL], None, None, id="r-nan"),
+        pytest.param(["run", "--gamma", "nan", *SMALL], None, None, id="gamma-nan"),
+        pytest.param(["run", "--theta1", "nan", *SMALL], None, None, id="theta1-nan"),
+        pytest.param(["sweep", "--sweep-r", "nan", *SMALL], None, None, id="sweep-r-nan"),
+        pytest.param(["oracle", "--theta1", "nan"], None, None, id="oracle-theta1-nan"),
+        pytest.param(["sweep", "--sweep-r=-1", *SMALL], None, None, id="sweep-r-negative"),
+        pytest.param(["sweep", "--sweep-gamma=-1", *SMALL], None, None,
+                     id="sweep-gamma-negative"),
+        pytest.param(["run", "--reps", "1"], "[]", None, id="config-not-object"),
+        pytest.param(["run", "--reps", "1"], '{"samples": "2048"}', None,
+                     id="config-samples-string"),
+        pytest.param(["run", "--reps", "1"], '{"samples": 2048.5}', None,
+                     id="config-samples-float"),
+        pytest.param(["run", *SMALL], None, "abc", id="workers-not-integer"),
+    ],
+)
+def test_invalid_input_exits_2(argv, config, workers, tmp_path, capsys, monkeypatch):
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    if workers is not None:
+        monkeypatch.setenv("LGWAVE_WORKERS", workers)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid-config" in err
+    assert "Traceback" not in err
+
+
+# Arbitrary JSON, plus in-range numbers and valid modes so valid configs occur too.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.floats(0, 1) | st.sampled_from(["independent-draws", "shared-draws"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+CONFIG_DOCS = (
+    st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)]), JSON_VALUES)
+    | JSON_VALUES
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(doc=CONFIG_DOCS)
+def test_any_config_document_exits_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            assert main(["oracle", "--config", str(path)]) in (0, 2)

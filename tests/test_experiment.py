@@ -72,3 +72,10 @@ class TestRunKwOnly:
         res = run_experiment(p)
         assert k["mean"] == res.summary["K"]["mean"]
         assert w["mean"] == res.summary["W"]["mean"]
+
+    def test_shared_mode_matches_run_experiment(self):
+        p = plan(mode=MODE_SHARED)
+        k, w = run_kw_only(p)
+        res = run_experiment(p)
+        assert k == res.summary["K"]
+        assert w == res.summary["W"]

@@ -6,10 +6,12 @@ from lgwave.harness import (
     MODE_INDEPENDENT,
     MODE_SHARED,
     STANDARD_CONTEXT_TABLE,
+    ContextCounts,
     ExperimentPlan,
+    _tally,
+    counterfactual_chunks,
     evaluate_context,
     run_context,
-    run_counterfactual,
     standard_contexts,
 )
 from lgwave.optics import OpticalParams, SourceParams, sample_hidden
@@ -40,14 +42,14 @@ class TestEvaluateContext:
     def test_zero_threshold_all_fire(self):
         rng = np.random.Generator(np.random.Philox(0))
         h = sample_hidden(rng, 100)
-        t = evaluate_context(h, SourceParams(r=0.3), open_context(), 0.0)
-        assert t.d1.all() and t.d2.all() and t.d3.all()
+        d1, d2, d3 = evaluate_context(h, SourceParams(r=0.3), open_context(), 0.0)
+        assert d1.all() and d2.all() and d3.all()
 
     def test_huge_threshold_none_fire(self):
         rng = np.random.Generator(np.random.Philox(0))
         h = sample_hidden(rng, 100)
-        t = evaluate_context(h, SourceParams(r=0.3), open_context(), 1e6)
-        assert not t.d1.any() and not t.d2.any() and not t.d3.any()
+        d1, d2, d3 = evaluate_context(h, SourceParams(r=0.3), open_context(), 1e6)
+        assert not d1.any() and not d2.any() and not d3.any()
 
     def test_herald_rate_matches_chi2_tail(self):
         # ||a1||^2 is (v/2) * chi^2_4 with v = cosh(2r)/2, so the herald
@@ -56,19 +58,19 @@ class TestEvaluateContext:
         n = 1 << 18
         rng = np.random.Generator(np.random.Philox(11))
         h = sample_hidden(rng, n)
-        t = evaluate_context(h, SourceParams(r=r), open_context(), gamma)
+        d1, _, _ = evaluate_context(h, SourceParams(r=r), open_context(), gamma)
         v = np.cosh(2 * r) / 2
         x = 2 * gamma**2 / v
         p = np.exp(-x / 2) * (1 + x / 2)
         se = np.sqrt(p * (1 - p) / n)
-        assert abs(t.d1.mean() - p) < 3 * se
+        assert abs(d1.mean() - p) < 3 * se
 
     def test_d1_independent_of_context(self):
         rng = np.random.Generator(np.random.Philox(12))
         h = sample_hidden(rng, 1000)
         src = SourceParams(r=0.3)
         d1s = [
-            evaluate_context(h, src, ctx, 2.0).d1
+            evaluate_context(h, src, ctx, 2.0)[0]
             for ctx in standard_contexts(OpticalParams())
         ]
         for d1 in d1s[1:]:
@@ -105,15 +107,17 @@ class TestRunContext:
 
 class TestCounterfactual:
     def test_d1_column_shared(self):
-        records, _ = run_counterfactual(plan(samples=1 << 12), 0)
-        for rec in records:
+        for rec in counterfactual_chunks(plan(samples=1 << 12), 0):
             # by construction one d1 per realization; check shape consistency
             assert rec.d1.shape[0] == rec.d2.shape[0] == rec.d3.shape[0]
             assert rec.d2.shape[1] == rec.d3.shape[1] == 9
 
     def test_counts_match_run_context_on_shared_streams(self):
         p = plan(samples=1 << 14, mode=MODE_SHARED)
-        _, totals = run_counterfactual(p, 0)
+        totals = [ContextCounts() for _ in STANDARD_CONTEXT_TABLE]
+        for rec in counterfactual_chunks(p, 0):
+            for tot, part in zip(totals, _tally(rec.d1, rec.d2, rec.d3)):
+                tot.add(part)
         for ctx, expected in zip(p.contexts, totals):
             assert run_context(p, ctx, 0) == expected
 

@@ -3,18 +3,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lgwave.harness import MODE_SHARED, ContextCounts, ExperimentPlan, run_counterfactual
+from lgwave.harness import MODE_SHARED, ContextCounts, ExperimentPlan, counterfactual_chunks
 from lgwave.optics import SourceParams
 from lgwave.stats import (
     MINUS,
     PLUS,
+    EfficiencyAccumulator,
     InconsistentInputs,
     NoHeralds,
     Pmf2,
     Pmf3,
     ZeroCoincidences,
     correlation,
-    efficiencies,
     k_statistic,
     marginal_12,
     marginal_13,
@@ -164,22 +164,26 @@ def shared_plan(samples=1 << 15, gamma=2.0, seed=9):
     )
 
 
+def shared_report(plan):
+    acc = EfficiencyAccumulator()
+    for rec in counterfactual_chunks(plan, 0):
+        acc.update(rec)
+    return acc.report()
+
+
 class TestEfficiencies:
     def test_zero_threshold_all_double(self):
         # with gamma=0 every detector fires, so E+/E- are empty and eta = 0
-        records, _ = run_counterfactual(shared_plan(samples=1 << 10, gamma=0.0), 0)
-        report = efficiencies(records)
+        report = shared_report(shared_plan(samples=1 << 10, gamma=0.0))
         assert report.eta_t3 == 0.0
         assert report.delta[(1, 1, 1, 1)] == 1.0
 
     def test_no_heralds(self):
-        records, _ = run_counterfactual(shared_plan(samples=1 << 8, gamma=1e6), 0)
         with pytest.raises(NoHeralds):
-            efficiencies(records)
+            shared_report(shared_plan(samples=1 << 8, gamma=1e6))
 
     def test_direct_at_most_bound(self):
-        records, _ = run_counterfactual(shared_plan(), 0)
-        report = efficiencies(records)
+        report = shared_report(shared_plan())
         nh = report.n_herald
         for eta, bound in [
             (report.eta_t1t3, report.bound_t1t3),
@@ -190,7 +194,6 @@ class TestEfficiencies:
             assert eta <= bound + 4 * se
 
     def test_etas_in_unit_interval(self):
-        records, _ = run_counterfactual(shared_plan(), 0)
-        report = efficiencies(records)
+        report = shared_report(shared_plan())
         for eta in (report.eta_t3, report.eta_t1t3, report.eta_t2t3, report.eta_t1t2t3):
             assert 0.0 <= eta <= 1.0
