@@ -97,7 +97,8 @@ def _json_type_ok(value, annotation: str) -> bool:
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config file and the flags, then build every plan the
     command will run: the dataclasses are the validation, and any value
-    they reject raises InvalidConfig."""
+    they reject raises InvalidConfig.  Config keys fill in the flags that
+    were not given, so `args` holds the merged choice afterwards."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         try:
@@ -117,7 +118,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         for key, value in doc.items():
             if not _json_type_ok(value, types[key]):
                 raise InvalidConfig(f"{key} must be {types[key]}, got {value!r}")
-            setattr(cfg, key, value)
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:

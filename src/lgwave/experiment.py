@@ -28,7 +28,6 @@ from .harness import (
     T2T3_PLUS,
     ContextCounts,
     ExperimentPlan,
-    _tally,
     counterfactual_chunks,
     run_context,
 )
@@ -161,11 +160,11 @@ def _rep_stats(
     )
 
 
-def _shared_chunk_task(plan: ExperimentPlan, rep: int, chunk: int):
-    (rec,) = counterfactual_chunks(plan, rep, range(chunk, chunk + 1))
+def _shared_chunk_task(plan: ExperimentPlan, rep: int, chunk: int) -> EfficiencyAccumulator:
     acc = EfficiencyAccumulator()
-    acc.update(rec)
-    return acc, _tally(rec.d1, rec.d2, rec.d3)
+    for d in counterfactual_chunks(plan, rep, range(chunk, chunk + 1)):
+        acc.update(*d)
+    return acc
 
 
 def _context_tasks(plan: ExperimentPlan) -> dict:
@@ -208,14 +207,10 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
     reps: list[RepResult] = []
     for rep in range(plan.reps):
         acc = EfficiencyAccumulator()
-        shared_counts = [ContextCounts() for _ in STANDARD_CONTEXT_TABLE]
         for c in range(plan.n_chunks()):
-            part_acc, part_counts = results[("shared", rep, c)]
-            acc.merge(part_acc)
-            for tot, part in zip(shared_counts, part_counts):
-                tot.add(part)
-        counts = _rep_counts(results, rep) if independent else shared_counts
-        reps.append(_rep_stats(rep, counts, acc.report(), shared_counts))
+            acc.merge(results[("shared", rep, c)])
+        counts = _rep_counts(results, rep) if independent else acc.counts
+        reps.append(_rep_stats(rep, counts, acc.report(), acc.counts))
     return ExperimentResult(plan=plan, reps=reps)
 
 

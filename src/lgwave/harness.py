@@ -82,19 +82,6 @@ class ContextCounts:
         self.n_total += other.n_total
 
 
-@dataclass
-class CounterfactualRecord:
-    """Per-realization detection bits for one chunk under all nine contexts.
-
-    d1 has shape (n,); d2 and d3 have shape (n, 9), one column per standard
-    context.  d1 is shared: the heralding beam never touches the blockers.
-    """
-
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything needed to reproduce a full nine-context experiment."""
@@ -108,17 +95,16 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 0:
-            raise ValueError("samples must be >= 0")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        for name, minimum in (("samples", 0), ("reps", 1), ("seed", 0)):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not integral or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
         require_finite("gamma", self.gamma)
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if self.mode not in (MODE_INDEPENDENT, MODE_SHARED):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def contexts(self) -> list[Context]:
@@ -156,49 +142,53 @@ def evaluate_context(
 def _tally(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> list[ContextCounts]:
     """Counts of each context on a chunk of n realizations.
 
-    d1 has shape (n,); d2 and d3 have shape (n,) for one context or (n, k)
-    for k contexts evaluated on the same draws, one context per column.
+    d1 has shape (n,); d2 and d3 have shape (n,) for one context or (k, n)
+    for k contexts evaluated on the same draws, one context per row.
     """
-    n = d1.shape[0]
-    # One contiguous row per context: counting along rows is the fast axis.
-    d2 = np.ascontiguousarray(d2.reshape(n, -1).T)
-    d3 = np.ascontiguousarray(d3.reshape(n, -1).T)
+    d2, d3 = np.atleast_2d(d2, d3)
     coincident = d1 & d2
     n_herald = int(np.count_nonzero(d1))
     plus = np.count_nonzero(coincident & ~d3, axis=1)
     minus = np.count_nonzero(d1 & ~d2 & d3, axis=1)
     double = np.count_nonzero(coincident & d3, axis=1)
     return [
-        ContextCounts(n_herald, int(p), int(m), int(dd), n_total=n)
+        ContextCounts(n_herald, int(p), int(m), int(dd), n_total=d1.shape[0])
         for p, m, dd in zip(plus, minus, double)
     ]
+
+
+def _detections(
+    plan: ExperimentPlan, key: int, rep_index: int, contexts: list[Context], chunks: range
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(d1, d2, d3) of each chunk of stream `key`, every context evaluated on
+    the chunk's draws.  d1 has shape (n,) and is shared: the heralding beam
+    never touches the blockers.  d2 and d3 have shape (k, n), one contiguous
+    row per context."""
+    for c in chunks:
+        n = plan.chunk_size(c)
+        h = sample_hidden(plan.chunk_rng(key, rep_index, c), n)
+        d2 = np.empty((len(contexts), n), dtype=bool)
+        d3 = np.empty((len(contexts), n), dtype=bool)
+        for j, ctx in enumerate(contexts):
+            d1, d2[j], d3[j] = evaluate_context(h, plan.source, ctx, plan.gamma)
+        yield d1, d2, d3
 
 
 def run_context(plan: ExperimentPlan, ctx: Context, rep_index: int) -> ContextCounts:
     """Tally one context over plan.samples realizations of one repetition."""
     key = SHARED_STREAM_KEY if plan.mode == MODE_SHARED else ctx.bits_int
     total = ContextCounts()
-    for c in range(plan.n_chunks()):
-        h = sample_hidden(plan.chunk_rng(key, rep_index, c), plan.chunk_size(c))
-        (counts,) = _tally(*evaluate_context(h, plan.source, ctx, plan.gamma))
+    for d in _detections(plan, key, rep_index, [ctx], range(plan.n_chunks())):
+        (counts,) = _tally(*d)
         total.add(counts)
     return total
 
 
 def counterfactual_chunks(
     plan: ExperimentPlan, rep_index: int, chunk_indices: range | None = None
-) -> Iterator[CounterfactualRecord]:
-    """Stream shared-draw records: one hidden state per realization, all nine
-    contexts evaluated on it.  Chunks arrive in index order."""
-    contexts = plan.contexts
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Stream shared-draw detections: one hidden state per realization, all
+    nine contexts evaluated on it.  Chunks arrive in index order."""
     if chunk_indices is None:
         chunk_indices = range(plan.n_chunks())
-    for c in chunk_indices:
-        n = plan.chunk_size(c)
-        h = sample_hidden(plan.chunk_rng(SHARED_STREAM_KEY, rep_index, c), n)
-        d2 = np.empty((n, len(contexts)), dtype=bool)
-        d3 = np.empty((n, len(contexts)), dtype=bool)
-        for j, ctx in enumerate(contexts):
-            d1, d2[:, j], d3[:, j] = evaluate_context(h, plan.source, ctx, plan.gamma)
-        yield CounterfactualRecord(d1=d1, d2=d2, d3=d3)
-
+    yield from _detections(plan, SHARED_STREAM_KEY, rep_index, plan.contexts, chunk_indices)

@@ -26,7 +26,7 @@ from .harness import (
     T2T3_MINUS,
     T2T3_PLUS,
     ContextCounts,
-    CounterfactualRecord,
+    _tally,
 )
 
 PLUS, MINUS = +1, -1
@@ -95,31 +95,26 @@ def pmf3_from_counts(counts: dict[tuple[int, int], ContextCounts]) -> Pmf3:
     return Pmf3({k: v / total for k, v in cells.items()})
 
 
-def marginal_12(p: Pmf3) -> Pmf2:
+def _marginal(p: Pmf3, axis: int) -> Pmf2:
+    """Two-time PMF left by summing out the outcome at position `axis`."""
     return Pmf2(
         {
-            (q1, q2): sum(p[(q1, q2, q3)] for q3 in OUTCOMES)
-            for q1, q2 in product(OUTCOMES, OUTCOMES)
+            kept: sum(p[kept[:axis] + (q,) + kept[axis:]] for q in OUTCOMES)
+            for kept in product(OUTCOMES, OUTCOMES)
         }
     )
+
+
+def marginal_12(p: Pmf3) -> Pmf2:
+    return _marginal(p, 2)
 
 
 def marginal_13(p: Pmf3) -> Pmf2:
-    return Pmf2(
-        {
-            (q1, q3): sum(p[(q1, q2, q3)] for q2 in OUTCOMES)
-            for q1, q3 in product(OUTCOMES, OUTCOMES)
-        }
-    )
+    return _marginal(p, 1)
 
 
 def marginal_23(p: Pmf3) -> Pmf2:
-    return Pmf2(
-        {
-            (q2, q3): sum(p[(q1, q2, q3)] for q1 in OUTCOMES)
-            for q2, q3 in product(OUTCOMES, OUTCOMES)
-        }
-    )
+    return _marginal(p, 0)
 
 
 def correlation(p: Pmf2) -> float:
@@ -178,53 +173,47 @@ class EfficiencyReport:
 
 @dataclass
 class EfficiencyAccumulator:
-    """Streaming aggregation of shared-draw record chunks.
+    """Streaming aggregation of shared-draw chunks: the nine context counts
+    and the counterfactual Lambda-set unions over them.
 
     Addition of the integer tallies is associative and commutative, so
     chunks may be processed in any order (and combined across workers).
     """
 
-    n_herald: int = 0
+    counts: list[ContextCounts] = field(
+        default_factory=lambda: [ContextCounts() for _ in STANDARD_CONTEXT_TABLE]
+    )
     n_lambda: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
-    n_coinc: np.ndarray = field(default_factory=lambda: np.zeros(9, dtype=np.int64))
-    n_double: np.ndarray = field(default_factory=lambda: np.zeros(9, dtype=np.int64))
     n_sym_diff: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.int64))
 
-    def update(self, rec: CounterfactualRecord) -> None:
-        d1, d2, d3 = rec.d1, rec.d2, rec.d3
-        valid = d1[:, None] & (d2 ^ d3)  # E+(b) | E-(b) per context
-        double = d1[:, None] & d2 & d3
-        lam_t3 = valid[:, OPEN]
-        lam_13 = valid[:, T1T3_PLUS] | valid[:, T1T3_MINUS]
-        lam_23 = valid[:, T2T3_PLUS] | valid[:, T2T3_MINUS]
-        lam_123 = (
-            valid[:, T1T2T3_PP]
-            | valid[:, T1T2T3_PM]
-            | valid[:, T1T2T3_MP]
-            | valid[:, T1T2T3_MM]
-        )
-        self.n_herald += int(d1.sum())
-        self.n_lambda += [int(x.sum()) for x in (lam_t3, lam_13, lam_23, lam_123)]
-        self.n_coinc += valid.sum(axis=0)
-        self.n_double += double.sum(axis=0)
+    def update(self, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> None:
+        """Add one chunk: d1 of shape (n,), d2 and d3 of shape (9, n)."""
+        for tot, part in zip(self.counts, _tally(d1, d2, d3)):
+            tot.add(part)
+        valid = d1 & (d2 ^ d3)  # E+(b) | E-(b), one row per context
+        lam_t3 = valid[OPEN]
+        lam_13 = valid[T1T3_PLUS] | valid[T1T3_MINUS]
+        lam_23 = valid[T2T3_PLUS] | valid[T2T3_MINUS]
+        lam_123 = valid[T1T2T3_PP] | valid[T1T2T3_PM] | valid[T1T2T3_MP] | valid[T1T2T3_MM]
+        self.n_lambda += [np.count_nonzero(x) for x in (lam_t3, lam_13, lam_23, lam_123)]
         self.n_sym_diff += [
-            int((lam_13 ^ lam_23).sum()),
-            int((lam_13 ^ lam_123).sum()),
-            int((lam_23 ^ lam_123).sum()),
+            np.count_nonzero(lam_13 ^ lam_23),
+            np.count_nonzero(lam_13 ^ lam_123),
+            np.count_nonzero(lam_23 ^ lam_123),
         ]
 
     def merge(self, other: "EfficiencyAccumulator") -> None:
-        self.n_herald += other.n_herald
+        for tot, part in zip(self.counts, other.counts):
+            tot.add(part)
         self.n_lambda += other.n_lambda
-        self.n_coinc += other.n_coinc
-        self.n_double += other.n_double
         self.n_sym_diff += other.n_sym_diff
 
     def report(self) -> EfficiencyReport:
-        if self.n_herald == 0:
+        nh = self.counts[OPEN].n_herald  # every context sees the same heralds
+        if nh == 0:
             raise NoHeralds("no herald detections in the shared-draw record")
-        nh = self.n_herald
-        bound = lambda idx: float(self.n_coinc[list(idx)].sum()) / nh
+        coinc = [c.n_plus + c.n_minus for c in self.counts]
+        bound = lambda idx: float(sum(coinc[j] for j in idx)) / nh
         return EfficiencyReport(
             n_herald=nh,
             eta_t3=self.n_lambda[0] / nh,
@@ -235,8 +224,8 @@ class EfficiencyAccumulator:
             bound_t2t3=bound((T2T3_PLUS, T2T3_MINUS)),
             bound_t1t2t3=bound((T1T2T3_PP, T1T2T3_PM, T1T2T3_MP, T1T2T3_MM)),
             delta={
-                STANDARD_CONTEXT_TABLE[j][0]: float(self.n_double[j]) / nh
-                for j in range(9)
+                bits: float(c.n_double) / nh
+                for (bits, _, _), c in zip(STANDARD_CONTEXT_TABLE, self.counts)
             },
             sym_diff={
                 "t1t3_vs_t2t3": int(self.n_sym_diff[0]),

@@ -145,7 +145,8 @@ def test_09_determinism_across_workers(tmp_path):
     outputs = []
     for workers in (1, 2, 8):
         out = tmp_path / f"w{workers}"
-        env = dict(os.environ, LGWAVE_WORKERS=str(workers))
+        # the child imports lgwave from wherever this process found it
+        env = dict(os.environ, LGWAVE_WORKERS=str(workers), PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
             [sys.executable, "-m", "lgwave.cli", "run",
              "--samples", "8192", "--reps", "2", "--seed", "13",

@@ -42,6 +42,17 @@ class TestOracle:
         assert run_cli(["oracle", "--t1", "1.5"]) == 2
         assert "invalid-config" in capsys.readouterr().err
 
+    def test_out_from_config_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["oracle"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": "from_config"}))
+        assert run_cli(["oracle", "--config", str(cfg)]) == 0
+        assert run_cli(["oracle", "--out", "from_flag"]) == 0
+        written = (tmp_path / "from_config" / "oracle.json").read_bytes()
+        assert written == (tmp_path / "from_flag" / "oracle.json").read_bytes()
+
 
 class TestRun:
     def test_writes_outputs(self, tmp_path, capsys):

@@ -107,16 +107,15 @@ class TestRunContext:
 
 class TestCounterfactual:
     def test_d1_column_shared(self):
-        for rec in counterfactual_chunks(plan(samples=1 << 12), 0):
-            # by construction one d1 per realization; check shape consistency
-            assert rec.d1.shape[0] == rec.d2.shape[0] == rec.d3.shape[0]
-            assert rec.d2.shape[1] == rec.d3.shape[1] == 9
+        for d1, d2, d3 in counterfactual_chunks(plan(samples=1 << 12), 0):
+            # by construction one d1 per realization, one row per context
+            assert d2.shape == d3.shape == (9, d1.shape[0])
 
     def test_counts_match_run_context_on_shared_streams(self):
         p = plan(samples=1 << 14, mode=MODE_SHARED)
         totals = [ContextCounts() for _ in STANDARD_CONTEXT_TABLE]
-        for rec in counterfactual_chunks(p, 0):
-            for tot, part in zip(totals, _tally(rec.d1, rec.d2, rec.d3)):
+        for d in counterfactual_chunks(p, 0):
+            for tot, part in zip(totals, _tally(*d)):
                 tot.add(part)
         for ctx, expected in zip(p.contexts, totals):
             assert run_context(p, ctx, 0) == expected
@@ -142,6 +141,12 @@ class TestPlanValidation:
     def test_bad_reps(self):
         with pytest.raises(ValueError):
             plan(reps=0)
+
+    @pytest.mark.parametrize("field", ["samples", "reps"])
+    @pytest.mark.parametrize("value", [2048.5, 2.0, True, "2048"])
+    def test_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            plan(**{field: value})
 
     def test_chunking(self):
         p = plan(samples=CHUNK * 2 + 5)

@@ -166,8 +166,8 @@ def shared_plan(samples=1 << 15, gamma=2.0, seed=9):
 
 def shared_report(plan):
     acc = EfficiencyAccumulator()
-    for rec in counterfactual_chunks(plan, 0):
-        acc.update(rec)
+    for d in counterfactual_chunks(plan, 0):
+        acc.update(*d)
     return acc.report()
 
 
