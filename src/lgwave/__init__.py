@@ -1,76 +1,1 @@
 """Classical wave-model Monte Carlo of a heralded Leggett-Garg interferometry test."""
-
-from .optics import (
-    SIGMA,
-    Context,
-    HiddenState,
-    OpticalParams,
-    SourceParams,
-    detect,
-    sample_hidden,
-    source_output,
-    stage1,
-    stage2,
-    stage3,
-)
-from .harness import (
-    ContextCounts,
-    ExperimentPlan,
-    evaluate_context,
-    run_context,
-    standard_contexts,
-)
-from .stats import (
-    EfficiencyReport,
-    Pmf2,
-    Pmf3,
-    correlation,
-    k_statistic,
-    marginal_12,
-    marginal_13,
-    marginal_23,
-    marginal_lg,
-    pmf2_from_counts,
-    pmf3_from_counts,
-    w_statistic,
-)
-from .oracle import AmplitudePair, amplitudes, predicted_pmfs, predicted_stats
-from .experiment import ExperimentResult, RepResult, run_experiment
-
-__all__ = [
-    "SIGMA",
-    "AmplitudePair",
-    "Context",
-    "ContextCounts",
-    "EfficiencyReport",
-    "ExperimentPlan",
-    "ExperimentResult",
-    "HiddenState",
-    "OpticalParams",
-    "Pmf2",
-    "Pmf3",
-    "RepResult",
-    "SourceParams",
-    "amplitudes",
-    "correlation",
-    "detect",
-    "evaluate_context",
-    "k_statistic",
-    "marginal_12",
-    "marginal_13",
-    "marginal_23",
-    "marginal_lg",
-    "pmf2_from_counts",
-    "pmf3_from_counts",
-    "predicted_pmfs",
-    "predicted_stats",
-    "run_context",
-    "run_experiment",
-    "sample_hidden",
-    "source_output",
-    "stage1",
-    "stage2",
-    "stage3",
-    "standard_contexts",
-    "w_statistic",
-]

@@ -248,17 +248,11 @@ def oracle_report(cfg: RunConfig) -> dict:
     def cells(pmf):
         return {
             "".join("+" if q > 0 else "-" for q in key): value
-            for key, value in pmf.p.items()
+            for key, value in pmf.items()
         }
 
     return {
-        "params": {
-            "t1": cfg.t1,
-            "t2": cfg.t2,
-            "t3": cfg.t3,
-            "theta1": cfg.theta1,
-            "theta2": cfg.theta2,
-        },
+        "params": asdict(optics),
         "pmf_t1t3": cells(p13),
         "pmf_t2t3": cells(p23),
         "pmf_t1t2t3": cells(p3),

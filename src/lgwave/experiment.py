@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +56,12 @@ def default_workers() -> int:
     env = os.environ.get("LGWAVE_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ValueError(f"LGWAVE_WORKERS must be an integer, got {env!r}") from None
+            workers = 0  # rejected below, with the same message
+        if workers < 1:
+            raise ValueError(f"LGWAVE_WORKERS must be a positive integer, got {env!r}")
+        return workers
     return os.cpu_count() or 1
 
 
@@ -81,13 +84,8 @@ class RepResult:
 
 @dataclass
 class ExperimentResult:
-    plan: ExperimentPlan
     reps: list[RepResult]
-    summary: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.summary:
-            self.summary = _summarize(self.reps)
+    summary: dict[str, dict[str, float]]
 
 
 def _mean_std(values: list[float]) -> dict[str, float]:
@@ -130,7 +128,7 @@ def _pmfs(counts: list[ContextCounts]) -> tuple[Pmf2, Pmf2, Pmf2, float, float]:
         }
     )
     p12 = marginal_12(p3)
-    k_marg, w_marg = marginal_lg(p12, p3)
+    k_marg, w_marg = marginal_lg(p3)
     if k_marg > 1.0 + 1e-12 or w_marg > 1e-12:
         raise InvariantViolation(
             f"marginal-form bounds broken: K_marginal={k_marg}, W_marginal={w_marg}"
@@ -211,7 +209,7 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
             acc.merge(results[("shared", rep, c)])
         counts = _rep_counts(results, rep) if independent else acc.counts
         reps.append(_rep_stats(rep, counts, acc.report(), acc.counts))
-    return ExperimentResult(plan=plan, reps=reps)
+    return ExperimentResult(reps=reps, summary=_summarize(reps))
 
 
 def run_kw_only(plan: ExperimentPlan, workers: int | None = None):

@@ -12,6 +12,7 @@ Detection is a strict threshold crossing on the Jones-vector norm.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -27,9 +28,11 @@ NORMALS_PER_REALIZATION = 28
 
 
 def require_finite(name: str, value: float) -> None:
-    """Reject NaN, infinities and ints too large to become a float."""
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    """Reject bools, non-real values, NaN, infinities and ints too large
+    to become a float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and -sys.float_info.max <= value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass
@@ -79,6 +82,7 @@ class OpticalParams:
     def __post_init__(self):
         for name in ("t1", "t2", "t3"):
             t = getattr(self, name)
+            require_finite(name, t)
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {t}")
         require_finite("theta1", self.theta1)

@@ -99,14 +99,12 @@ def predicted_pmfs(optics: OpticalParams) -> tuple[Pmf2, Pmf2, Pmf3]:
 
     def cells2(idx_plus: int, idx_minus: int) -> Pmf2:
         total = sum(w[idx_plus]) + sum(w[idx_minus])
-        return Pmf2(
-            {
-                (PLUS, PLUS): w[idx_plus][0] / total,
-                (PLUS, MINUS): w[idx_plus][1] / total,
-                (MINUS, PLUS): w[idx_minus][0] / total,
-                (MINUS, MINUS): w[idx_minus][1] / total,
-            }
-        )
+        return {
+            (PLUS, PLUS): w[idx_plus][0] / total,
+            (PLUS, MINUS): w[idx_plus][1] / total,
+            (MINUS, PLUS): w[idx_minus][0] / total,
+            (MINUS, MINUS): w[idx_minus][1] / total,
+        }
 
     p13 = cells2(T1T3_PLUS, T1T3_MINUS)
     p23 = cells2(T2T3_PLUS, T2T3_MINUS)
@@ -118,13 +116,11 @@ def predicted_pmfs(optics: OpticalParams) -> tuple[Pmf2, Pmf2, Pmf3]:
         (MINUS, MINUS): T1T2T3_MM,
     }
     total3 = sum(sum(w[j]) for j in idx3.values())
-    p3 = Pmf3(
-        {
-            (q1, q2, q3): w[j][0 if q3 == PLUS else 1] / total3
-            for (q1, q2), j in idx3.items()
-            for q3 in (PLUS, MINUS)
-        }
-    )
+    p3 = {
+        (q1, q2, q3): w[j][0 if q3 == PLUS else 1] / total3
+        for (q1, q2), j in idx3.items()
+        for q3 in (PLUS, MINUS)
+    }
     return p13, p23, p3
 
 

@@ -37,32 +37,14 @@ class ZeroCoincidences(ValueError):
     """All coincidence counts are zero (threshold too high or too few samples)."""
 
 
-class InconsistentInputs(ValueError):
-    """A PMF that must be a marginal of another does not match it."""
-
-
 class NoHeralds(ValueError):
     """No herald detections; efficiencies are undefined."""
 
 
-@dataclass
-class Pmf2:
-    """PMF over (q_i, q_j) in {+,-}^2."""
-
-    p: dict[tuple[int, int], float]
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        return self.p[key]
-
-
-@dataclass
-class Pmf3:
-    """PMF over (q1, q2, q3) in {+,-}^3."""
-
-    p: dict[tuple[int, int, int], float]
-
-    def __getitem__(self, key: tuple[int, int, int]) -> float:
-        return self.p[key]
+# PMF over (q_i, q_j) in {+,-}^2.
+Pmf2 = dict[tuple[int, int], float]
+# PMF over (q1, q2, q3) in {+,-}^3.
+Pmf3 = dict[tuple[int, int, int], float]
 
 
 def pmf2_from_counts(counts_plus_ctx: ContextCounts, counts_minus_ctx: ContextCounts) -> Pmf2:
@@ -80,7 +62,7 @@ def pmf2_from_counts(counts_plus_ctx: ContextCounts, counts_minus_ctx: ContextCo
     total = sum(cells.values())
     if total == 0:
         raise ZeroCoincidences("all four coincidence counts are zero")
-    return Pmf2({k: v / total for k, v in cells.items()})
+    return {k: v / total for k, v in cells.items()}
 
 
 def pmf3_from_counts(counts: dict[tuple[int, int], ContextCounts]) -> Pmf3:
@@ -92,17 +74,15 @@ def pmf3_from_counts(counts: dict[tuple[int, int], ContextCounts]) -> Pmf3:
     total = sum(cells.values())
     if total == 0:
         raise ZeroCoincidences("all eight coincidence counts are zero")
-    return Pmf3({k: v / total for k, v in cells.items()})
+    return {k: v / total for k, v in cells.items()}
 
 
 def _marginal(p: Pmf3, axis: int) -> Pmf2:
     """Two-time PMF left by summing out the outcome at position `axis`."""
-    return Pmf2(
-        {
-            kept: sum(p[kept[:axis] + (q,) + kept[axis:]] for q in OUTCOMES)
-            for kept in product(OUTCOMES, OUTCOMES)
-        }
-    )
+    return {
+        kept: sum(p[kept[:axis] + (q,) + kept[axis:]] for q in OUTCOMES)
+        for kept in product(OUTCOMES, OUTCOMES)
+    }
 
 
 def marginal_12(p: Pmf3) -> Pmf2:
@@ -119,7 +99,7 @@ def marginal_23(p: Pmf3) -> Pmf2:
 
 def correlation(p: Pmf2) -> float:
     """C = P(+,+) + P(-,-) - P(+,-) - P(-,+), in [-1, 1]."""
-    return sum(qi * qj * pij for (qi, qj), pij in p.p.items())
+    return sum(qi * qj * pij for (qi, qj), pij in p.items())
 
 
 def k_statistic(p12: Pmf2, p23: Pmf2, p13: Pmf2) -> float:
@@ -132,21 +112,17 @@ def w_statistic(p13: Pmf2, p23: Pmf2, p12: Pmf2) -> float:
     return p13[(MINUS, PLUS)] - p23[(MINUS, PLUS)] - p12[(MINUS, PLUS)]
 
 
-def marginal_lg(p12: Pmf2, p3: Pmf3, atol: float = 1e-9) -> tuple[float, float]:
+def marginal_lg(p3: Pmf3) -> tuple[float, float]:
     """Marginal-form statistics (K_marginal, W_marginal).
 
-    Both are computed entirely from the joint three-time PMF, so they obey
-    K_marginal <= 1 and W_marginal <= 0 identically.  p12 must equal the
-    (q1, q2) marginal of p3; it is passed separately only to make the
-    consistency requirement explicit.
+    All three pair PMFs are marginals of the one joint three-time PMF, so
+    K_marginal <= 1 and W_marginal <= 0 hold identically.
     """
     m12 = marginal_12(p3)
-    if any(abs(p12[k] - m12[k]) > atol for k in m12.p):
-        raise InconsistentInputs("p12 is not the (q1,q2) marginal of the joint PMF")
     m13 = marginal_13(p3)
     m23 = marginal_23(p3)
-    k_marg = correlation(p12) + correlation(m23) - correlation(m13)
-    w_marg = m13[(MINUS, PLUS)] - m23[(MINUS, PLUS)] - p12[(MINUS, PLUS)]
+    k_marg = correlation(m12) + correlation(m23) - correlation(m13)
+    w_marg = m13[(MINUS, PLUS)] - m23[(MINUS, PLUS)] - m12[(MINUS, PLUS)]
     return k_marg, w_marg
 
 

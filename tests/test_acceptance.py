@@ -22,7 +22,7 @@ from lgwave.harness import ExperimentPlan
 from lgwave.optics import OpticalParams, SourceParams, norm, sample_hidden, SIGMA
 from lgwave.optics import Context, stage1, stage2, stage3
 from lgwave.oracle import predicted_pmfs, predicted_stats, type_weight_sums
-from lgwave.stats import MINUS, PLUS, Pmf3, marginal_12, marginal_lg
+from lgwave.stats import MINUS, PLUS, Pmf3, marginal_lg
 
 FULL = os.environ.get("LGWAVE_ACCEPTANCE_FULL") == "1"
 SAMPLES = (1 << 20) if FULL else (1 << 18)
@@ -109,7 +109,7 @@ def test_07_marginal_identity_suite(default_result):
     worst_k, worst_w = -np.inf, -np.inf
     for _ in range(10_000):
         p3 = Pmf3(dict(zip(keys, rng.dirichlet(np.ones(8)))))
-        k_marg, w_marg = marginal_lg(marginal_12(p3), p3)
+        k_marg, w_marg = marginal_lg(p3)
         worst_k = max(worst_k, k_marg)
         worst_w = max(worst_w, w_marg)
     for rep in default_result.reps:

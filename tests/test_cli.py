@@ -35,6 +35,9 @@ class TestOracle:
         doc = json.loads(capsys.readouterr().out)
         assert doc["stats"]["K"] == pytest.approx(1.5, abs=1e-12)
         assert doc["pmf_t1t2t3"]["+--"] == pytest.approx(0.09375, abs=1e-12)
+        assert doc["params"] == {
+            "t1": 0.5, "t2": 0.75, "t3": 0.75, "theta1": 0.0, "theta2": 0.0,
+        }
         for v in doc["type_weight_sums"].values():
             assert v == pytest.approx(1.0, abs=1e-12)
 
@@ -159,6 +162,8 @@ SMALL = ["--samples", "64", "--reps", "1"]
         pytest.param(["run", "--reps", "1"], '{"samples": 2048.5}', None,
                      id="config-samples-float"),
         pytest.param(["run", *SMALL], None, "abc", id="workers-not-integer"),
+        pytest.param(["run", *SMALL], None, "0", id="workers-zero"),
+        pytest.param(["run", *SMALL], None, "-3", id="workers-negative"),
     ],
 )
 def test_invalid_input_exits_2(argv, config, workers, tmp_path, capsys, monkeypatch):

@@ -48,7 +48,7 @@ class TestRunExperiment:
             res.reps[0].counts[T1T3_PLUS], res.reps[0].counts[T1T3_MINUS]
         )
         p13_qm, _, _ = predicted_pmfs(OpticalParams())
-        for key in p13_qm.p:
+        for key in p13_qm:
             assert abs(p13_sim[key] - p13_qm[key]) < 0.06
 
     def test_w_decomposition_marginal_nonpositive(self):

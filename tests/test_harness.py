@@ -148,6 +148,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=field):
             plan(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, "2.0", None])
+    def test_gamma_not_a_real_number(self, value):
+        with pytest.raises(ValueError, match="gamma"):
+            plan(gamma=value)
+
     def test_chunking(self):
         p = plan(samples=CHUNK * 2 + 5)
         assert p.n_chunks() == 3

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lgwave.harness import ExperimentPlan
 from lgwave.optics import (
     NORMALS_PER_REALIZATION,
     SIGMA,
@@ -207,6 +210,45 @@ class TestParams:
         with pytest.raises(ValueError):
             OpticalParams(t1=1.5)
 
+    @pytest.mark.parametrize("field", ["t1", "t2", "t3", "theta1", "theta2"])
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_optics_not_a_real_number(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OpticalParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, "0.3", None])
+    def test_squeezing_not_a_real_number(self, value):
+        with pytest.raises(ValueError, match="r must"):
+            SourceParams(r=value)
+
+    def test_numpy_floats_and_ints_accepted(self):
+        OpticalParams(t1=np.float64(0.5), t2=1, theta1=np.float64(1.0), theta2=2)
+        SourceParams(r=np.float64(0.3))
+        SourceParams(r=1)
+
     def test_context_bits(self):
         with pytest.raises(ValueError):
             Context(b=(1, 2, 0, 1))
+
+
+# Every kind of JSON scalar, plus in-range numbers so valid values occur too.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.floats(0, 1)
+)
+
+BUILDERS = {
+    "r": lambda v: SourceParams(r=v),
+    "gamma": lambda v: ExperimentPlan(source=SourceParams(r=0.3), gamma=v),
+    "t1": lambda v: OpticalParams(t1=v),
+    "theta1": lambda v: OpticalParams(theta1=v),
+}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(field=st.sampled_from(sorted(BUILDERS)), value=JSON_SCALARS)
+def test_any_json_scalar_constructs_or_raises_value_error(field, value):
+    try:
+        BUILDERS[field](value)
+    except ValueError:
+        pass

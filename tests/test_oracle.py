@@ -109,7 +109,7 @@ class TestPredictedPmfs:
         for _ in range(100):
             p13, p23, p3 = predicted_pmfs(random_optics(rng))
             for pmf in (p13, p23, p3):
-                assert sum(pmf.p.values()) == pytest.approx(1.0, abs=1e-12)
+                assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPredictedStats:
