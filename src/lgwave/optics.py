@@ -12,8 +12,8 @@ Detection is a strict threshold crossing on the Jones-vector norm.
 
 from __future__ import annotations
 
+import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +30,15 @@ NORMALS_PER_REALIZATION = 28
 def require_finite(name: str, value: float) -> None:
     """Reject bools, non-real values, NaN, infinities and ints too large
     to become a float."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and -sys.float_info.max <= value <= sys.float_info.max):
+    try:
+        ok = (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(float(value))
+        )
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
@@ -41,7 +48,9 @@ class HiddenState:
 
     z1, z2 drive the squeezed source, z3 is the vacuum port of the first
     beam splitter, and zp1..zp4 are the vacuum modes injected by beam
-    blockers BB1..BB4.  Each field has shape (..., 2), complex.
+    blockers BB1..BB4.  Each field has shape (..., 2), complex.  States from
+    sample_hidden also carry `packed`, the (..., 7, 2) complex array the
+    seven fields are views of.
     """
 
     z1: np.ndarray
@@ -51,6 +60,7 @@ class HiddenState:
     zp2: np.ndarray
     zp3: np.ndarray
     zp4: np.ndarray
+    packed: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -120,9 +130,10 @@ def sample_hidden(rng: np.random.Generator, n: int | None = None) -> HiddenState
     """
     shape = (7, 2, 2) if n is None else (n, 7, 2, 2)
     u = rng.standard_normal(shape)
-    z = (u[..., 0] + 1j * u[..., 1]) * SIGMA
+    z = u.view(np.complex128)[..., 0]  # (re, im) pairs as complex, no copy
+    z *= SIGMA
     vecs = np.moveaxis(z, -2, 0)  # -> (7, ..., 2)
-    return HiddenState(*vecs)
+    return HiddenState(*vecs, packed=z)
 
 
 def norm(a: np.ndarray) -> np.ndarray:
@@ -186,6 +197,27 @@ def stage3(a2: np.ndarray, a3: np.ndarray, ctx: Context):
     a2_out = sq_t * a2 + sq_r * a3
     a3_out = sq_r * a2 - sq_t * a3
     return a2_out, a3_out
+
+
+def compile_network(src: SourceParams, contexts: list[Context]) -> np.ndarray:
+    """Real transfer matrix of the herald D1 and of D2, D3 in each context.
+
+    Every detector amplitude is real-linear in the 28 reals of a hidden
+    state, so pushing the 28 unit states through source_output and
+    stage1..3 gives the whole network as one (28, 4 * (1 + 2k)) matrix.
+    Row i is the response to real i of sample_hidden's packed layout
+    (vector z1..zp4, component H/V, re/im).  Columns hold the (H re, H im,
+    V re, V im) of D1, then of D2 and D3 for each context in turn.
+    """
+    units = np.eye(NORMALS_PER_REALIZATION).view(np.complex128).reshape(-1, 7, 2)
+    h = HiddenState(*np.moveaxis(units, -2, 0))
+    a1, a2, a3 = source_output(h, src)
+    outputs = [a1]
+    for ctx in contexts:
+        b2, b3 = stage1(a2, a3, h, ctx)
+        b2, b3 = stage2(b2, b3, h, ctx)
+        outputs += stage3(b2, b3, ctx)
+    return np.stack(outputs, axis=1).view(np.float64).reshape(NORMALS_PER_REALIZATION, -1)
 
 
 def detect(a: np.ndarray, gamma: float) -> np.ndarray:

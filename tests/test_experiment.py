@@ -1,6 +1,11 @@
-import numpy as np
+import os
+from unittest import mock
 
-from lgwave.experiment import run_experiment, run_kw_only
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lgwave.experiment import default_workers, run_experiment, run_kw_only
 from lgwave.harness import MODE_SHARED, ExperimentPlan
 from lgwave.optics import OpticalParams, SourceParams
 from lgwave.oracle import predicted_pmfs
@@ -79,3 +84,18 @@ class TestRunKwOnly:
         res = run_experiment(p)
         assert k == res.summary["K"]
         assert w == res.summary["W"]
+
+
+# Any text an environment variable can hold: no NUL, no lone surrogates.
+ENV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(value=ENV_TEXT | st.integers(-5, 5).map(str))
+def test_default_workers_positive_int_or_value_error(value):
+    with mock.patch.dict(os.environ, {"LGWAVE_WORKERS": value}):
+        try:
+            workers = default_workers()
+        except ValueError:
+            return
+    assert isinstance(workers, int) and workers >= 1

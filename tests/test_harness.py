@@ -5,6 +5,7 @@ from lgwave.harness import (
     CHUNK,
     MODE_INDEPENDENT,
     MODE_SHARED,
+    SHARED_STREAM_KEY,
     STANDARD_CONTEXT_TABLE,
     ContextCounts,
     ExperimentPlan,
@@ -131,6 +132,50 @@ class TestCounterfactual:
             p_hat = (x + y) / (2 * n)
             se = np.sqrt(2 * p_hat * (1 - p_hat) * n)
             assert abs(x - y) < 4 * se
+
+
+def random_plan(i):
+    """Draw i of the kernel's differential test: random optics, r, gamma,
+    mode and seed, with sizes that are not multiples of the kernel's
+    64-row products or row blocks, and one that spans a partial chunk."""
+    g = np.random.default_rng(1000 + i)
+    optics = OpticalParams(
+        t1=g.uniform(), t2=g.uniform(), t3=g.uniform(),
+        theta1=g.uniform(0, 2 * np.pi), theta2=g.uniform(0, 2 * np.pi),
+    )
+    return ExperimentPlan(
+        source=SourceParams(r=g.uniform(0, 1.2)), optics=optics,
+        gamma=g.uniform(0.5, 2.5), samples=(1, 63, 1000, 4099, CHUNK + 37)[i % 5],
+        reps=1, mode=(MODE_INDEPENDENT, MODE_SHARED)[i % 2], seed=int(g.integers(1 << 30)),
+    )
+
+
+class TestKernelMatchesReference:
+    """The compiled kernel behind run_context and counterfactual_chunks
+    decides every detector exactly as evaluate_context does on the same draw."""
+
+    @pytest.mark.parametrize("i", range(20))
+    def test_counterfactual_detections(self, i):
+        p = random_plan(i)
+        for c, (d1, d2, d3) in enumerate(counterfactual_chunks(p, 0)):
+            h = sample_hidden(p.chunk_rng(SHARED_STREAM_KEY, 0, c), p.chunk_size(c))
+            for j, ctx in enumerate(p.contexts):
+                e1, e2, e3 = evaluate_context(h, p.source, ctx, p.gamma)
+                assert np.array_equal(d1, e1)
+                assert np.array_equal(d2[j], e2)
+                assert np.array_equal(d3[j], e3)
+
+    @pytest.mark.parametrize("i", range(20))
+    def test_run_context_counts(self, i):
+        p = random_plan(i)
+        ctx = p.contexts[i % 9]
+        key = SHARED_STREAM_KEY if p.mode == MODE_SHARED else ctx.bits_int
+        expected = ContextCounts()
+        for c in range(p.n_chunks()):
+            h = sample_hidden(p.chunk_rng(key, 0, c), p.chunk_size(c))
+            (counts,) = _tally(*evaluate_context(h, p.source, ctx, p.gamma))
+            expected.add(counts)
+        assert run_context(p, ctx, 0) == expected
 
 
 class TestPlanValidation:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,18 @@ class TestSampleHidden:
     def test_single_realization_shape(self):
         h = sample_hidden(rng(5))
         assert h.z1.shape == (2,)
+
+    @pytest.mark.parametrize("n", [None, 1, 1000])
+    def test_packed_draw_matches_complex_assembly(self, n):
+        # The packed array is the reference assembly (re + 1j*im) * SIGMA
+        # bit for bit, and the seven fields are views of it.
+        u = rng(9).standard_normal((7, 2, 2) if n is None else (n, 7, 2, 2))
+        expected = (u[..., 0] + 1j * u[..., 1]) * SIGMA
+        h = sample_hidden(rng(9), n)
+        assert h.packed.tobytes() == expected.tobytes()
+        for j, f in enumerate(("z1", "z2", "z3", "zp1", "zp2", "zp3", "zp4")):
+            assert np.shares_memory(getattr(h, f), h.packed)
+            assert np.array_equal(getattr(h, f), expected[..., j, :])
 
 
 class TestSourceOutput:
@@ -225,6 +239,25 @@ class TestParams:
         OpticalParams(t1=np.float64(0.5), t2=1, theta1=np.float64(1.0), theta2=2)
         SourceParams(r=np.float64(0.3))
         SourceParams(r=1)
+
+    def test_float32_accepted_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            OpticalParams(t1=np.float32(0.5), theta1=np.float32(1.0))
+            SourceParams(r=np.float32(0.3))
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float32("inf"), np.float32("-inf"), np.float32("nan"), 10**400, -(10**400)],
+        ids=["f32-inf", "f32-neg-inf", "f32-nan", "int-overflow", "int-neg-overflow"],
+    )
+    def test_non_finite_rejected(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r must"):
+                SourceParams(r=value)
+            with pytest.raises(ValueError, match="theta1"):
+                OpticalParams(theta1=value)
 
     def test_context_bits(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lgwave.optics import Context, OpticalParams
+from lgwave.harness import standard_contexts
+from lgwave.optics import SIGMA, Context, OpticalParams, SourceParams, compile_network
 from lgwave.oracle import (
     amplitudes,
     predicted_pmfs,
@@ -73,6 +74,28 @@ class TestAmplitudes:
             ap, am = transfer_amplitudes(c)
             assert pair.alpha_plus == pytest.approx(ap, abs=1e-12)
             assert pair.alpha_minus == pytest.approx(am, abs=1e-12)
+
+
+class TestCompiledNetwork:
+    def test_z2_row_is_sigma_cosh_r_times_alpha(self):
+        # The source puts sigma cosh(r) of z2 into a2, the beam that enters
+        # the interferometer, so the real-H-of-z2 row of the compiled matrix
+        # carries sigma cosh(r) alpha+ at D2 and sigma cosh(r) alpha- at D3,
+        # H in, H out, nothing into V.
+        z2_h_re = 4  # packed order: vector z2, component H, real part
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            optics = random_optics(rng)
+            r = rng.uniform(0, 1.5)
+            contexts = standard_contexts(optics)
+            row = compile_network(SourceParams(r=r), contexts)[z2_h_re].reshape(-1, 4)
+            scale = SIGMA * np.cosh(r)
+            for j, c in enumerate(contexts):
+                pair = amplitudes(c)
+                for det, alpha in ((1 + 2 * j, pair.alpha_plus), (2 + 2 * j, pair.alpha_minus)):
+                    h_re, h_im, v_re, v_im = row[det]
+                    assert abs(complex(h_re, h_im) / scale - alpha) < 1e-12
+                    assert v_re == v_im == 0.0
 
 
 class TestTypeWeightSums:
