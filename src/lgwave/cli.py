@@ -145,32 +145,7 @@ def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
         "summary": result.summary,
-        "per_rep": [
-            {
-                "rep": r.rep,
-                "K": r.K,
-                "W": r.W,
-                "C12": r.C12,
-                "C23": r.C23,
-                "C13": r.C13,
-                "K_marginal": r.K_marginal,
-                "W_marginal": r.W_marginal,
-                "eta_t3": r.efficiency.eta_t3,
-                "eta_t1t3": r.efficiency.eta_t1t3,
-                "eta_t2t3": r.efficiency.eta_t2t3,
-                "eta_t1t2t3": r.efficiency.eta_t1t2t3,
-                "bound_t1t3": r.efficiency.bound_t1t3,
-                "bound_t2t3": r.efficiency.bound_t2t3,
-                "bound_t1t2t3": r.efficiency.bound_t1t2t3,
-                "delta": {
-                    "".join(map(str, bits)): v
-                    for bits, v in r.efficiency.delta.items()
-                },
-                "sym_diff": r.efficiency.sym_diff,
-                "w_decomposition": r.w_decomposition,
-            }
-            for r in result.reps
-        ],
+        "per_rep": [r.stats for r in result.reps],
     }
     json_path = out_dir / "summary.json"
     json_path.write_text(
@@ -179,11 +154,11 @@ def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path
 
     csv_path = out_dir / "counts.csv"
     lines = ["rep,context_bits,n_total,n_herald,n_plus,n_minus,n_double"]
-    for r in result.reps:
+    for rep, r in enumerate(result.reps):
         for (bits, _, _), c in zip(STANDARD_CONTEXT_TABLE, r.counts):
             bstr = "".join(map(str, bits))
             lines.append(
-                f"{r.rep},{bstr},{c.n_total},{c.n_herald},{c.n_plus},{c.n_minus},{c.n_double}"
+                f"{rep},{bstr},{c.n_total},{c.n_herald},{c.n_plus},{c.n_minus},{c.n_double}"
             )
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return json_path, csv_path
@@ -194,9 +169,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(cfg.plan())
     json_path, csv_path = write_run_outputs(cfg, result, Path(cfg.out))
     s = result.summary
-    print(f"K = {s['K']['mean']:.4f} +/- {s['K']['std']:.4f}")
-    print(f"W = {s['W']['mean']:.4f} +/- {s['W']['std']:.4f}")
-    for name in ("eta_t3", "eta_t1t3", "eta_t2t3", "eta_t1t2t3"):
+    for name in ("K", "W", "eta_t3", "eta_t1t3", "eta_t2t3", "eta_t1t2t3"):
         print(f"{name} = {s[name]['mean']:.4f} +/- {s[name]['std']:.4f}")
     print(f"wrote {json_path} and {csv_path}")
     return EXIT_OK

@@ -35,8 +35,6 @@ from .stats import (
     MINUS,
     PLUS,
     EfficiencyAccumulator,
-    EfficiencyReport,
-    Pmf2,
     correlation,
     marginal_12,
     marginal_lg,
@@ -67,25 +65,24 @@ def default_workers() -> int:
 
 @dataclass
 class RepResult:
-    """Statistics of one repetition of the full experiment."""
+    """One repetition: its nine context counts and its statistics, keyed as
+    in a summary.json per-rep entry."""
 
-    rep: int
     counts: list[ContextCounts]
-    K: float
-    W: float
-    C12: float
-    C23: float
-    C13: float
-    K_marginal: float
-    W_marginal: float
-    efficiency: EfficiencyReport
-    w_decomposition: dict[str, float]
+    stats: dict
 
 
 @dataclass
 class ExperimentResult:
     reps: list[RepResult]
     summary: dict[str, dict[str, float]]
+
+
+# Per-rep statistics summarized as (mean, std); the delta_* entries follow.
+SUMMARY_STATS = (
+    "K", "W", "C12", "C23", "C13", "K_marginal", "W_marginal",
+    "eta_t3", "eta_t1t3", "eta_t2t3", "eta_t1t2t3",
+)
 
 
 def _mean_std(values: list[float]) -> dict[str, float]:
@@ -95,15 +92,9 @@ def _mean_std(values: list[float]) -> dict[str, float]:
 
 
 def _summarize(reps: list[RepResult]) -> dict[str, dict[str, float]]:
-    summary = {
-        name: _mean_std([getattr(r, name) for r in reps])
-        for name in ("K", "W", "C12", "C23", "C13", "K_marginal", "W_marginal")
-    }
-    for name in ("eta_t3", "eta_t1t3", "eta_t2t3", "eta_t1t2t3"):
-        summary[name] = _mean_std([getattr(r.efficiency, name) for r in reps])
-    for bits, _, _ in STANDARD_CONTEXT_TABLE:
-        key = "delta_" + "".join(map(str, bits))
-        summary[key] = _mean_std([r.efficiency.delta[bits] for r in reps])
+    summary = {name: _mean_std([r.stats[name] for r in reps]) for name in SUMMARY_STATS}
+    for bits in reps[0].stats["delta"]:
+        summary["delta_" + bits] = _mean_std([r.stats["delta"][bits] for r in reps])
     return summary
 
 
@@ -112,9 +103,9 @@ def _check_counts(c: ContextCounts) -> None:
         raise InvariantViolation(f"count ordering violated: {c}")
 
 
-def _pmfs(counts: list[ContextCounts]) -> tuple[Pmf2, Pmf2, Pmf2, float, float]:
-    """Check one repetition's nine context counts and reduce them to the
-    PMFs (p12, p13, p23) and the marginal-form (K_marginal, W_marginal)."""
+def _lg_stats(counts: list[ContextCounts]) -> dict[str, float]:
+    """Check one repetition's nine context counts and reduce them to K, W,
+    the pair correlations and the marginal-form K and W."""
     for c in counts:
         _check_counts(c)
     p13 = pmf2_from_counts(counts[T1T3_PLUS], counts[T1T3_MINUS])
@@ -133,29 +124,15 @@ def _pmfs(counts: list[ContextCounts]) -> tuple[Pmf2, Pmf2, Pmf2, float, float]:
         raise InvariantViolation(
             f"marginal-form bounds broken: K_marginal={k_marg}, W_marginal={w_marg}"
         )
-    return p12, p13, p23, k_marg, w_marg
-
-
-def _rep_stats(
-    rep: int,
-    counts: list[ContextCounts],
-    eff: EfficiencyReport,
-    shared_counts: list[ContextCounts],
-) -> RepResult:
-    p12, p13, p23, k_marg, w_marg = _pmfs(counts)
-    return RepResult(
-        rep=rep,
-        counts=counts,
-        K=k_statistic(p12, p23, p13),
-        W=w_statistic(p13, p23, p12),
-        C12=correlation(p12),
-        C23=correlation(p23),
-        C13=correlation(p13),
-        K_marginal=k_marg,
-        W_marginal=w_marg,
-        efficiency=eff,
-        w_decomposition=w_decomposition(shared_counts, eff),
-    )
+    return {
+        "K": k_statistic(p12, p23, p13),
+        "W": w_statistic(p13, p23, p12),
+        "C12": correlation(p12),
+        "C23": correlation(p23),
+        "C13": correlation(p13),
+        "K_marginal": k_marg,
+        "W_marginal": w_marg,
+    }
 
 
 def _shared_chunk_task(plan: ExperimentPlan, rep: int, chunk: int) -> EfficiencyAccumulator:
@@ -208,7 +185,14 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
         for c in range(plan.n_chunks()):
             acc.merge(results[("shared", rep, c)])
         counts = _rep_counts(results, rep) if independent else acc.counts
-        reps.append(_rep_stats(rep, counts, acc.report(), acc.counts))
+        eff = acc.report()
+        stats = {
+            "rep": rep,
+            **_lg_stats(counts),
+            **eff,
+            "w_decomposition": w_decomposition(acc.counts, eff),
+        }
+        reps.append(RepResult(counts, stats))
     return ExperimentResult(reps=reps, summary=_summarize(reps))
 
 
@@ -223,9 +207,5 @@ def run_kw_only(plan: ExperimentPlan, workers: int | None = None):
         summary = run_experiment(plan, workers).summary
         return summary["K"], summary["W"]
     results = _run_tasks(_context_tasks(plan), workers)
-    ks, ws = [], []
-    for rep in range(plan.reps):
-        p12, p13, p23, _, _ = _pmfs(_rep_counts(results, rep))
-        ks.append(k_statistic(p12, p23, p13))
-        ws.append(w_statistic(p13, p23, p12))
-    return _mean_std(ks), _mean_std(ws)
+    stats = [_lg_stats(_rep_counts(results, rep)) for rep in range(plan.reps)]
+    return _mean_std([s["K"] for s in stats]), _mean_std([s["W"] for s in stats])

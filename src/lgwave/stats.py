@@ -121,30 +121,7 @@ def marginal_lg(p3: Pmf3) -> tuple[float, float]:
     m12 = marginal_12(p3)
     m13 = marginal_13(p3)
     m23 = marginal_23(p3)
-    k_marg = correlation(m12) + correlation(m23) - correlation(m13)
-    w_marg = m13[(MINUS, PLUS)] - m23[(MINUS, PLUS)] - m12[(MINUS, PLUS)]
-    return k_marg, w_marg
-
-
-@dataclass
-class EfficiencyReport:
-    """Context-dependent detection efficiencies from a shared-draw record.
-
-    Direct efficiencies use counterfactual set unions over contexts; bounds
-    are the experimentally accessible sums of normalized coincidence counts.
-    delta maps context bits to the double-detection probability.
-    """
-
-    n_herald: int
-    eta_t3: float
-    eta_t1t3: float
-    eta_t2t3: float
-    eta_t1t2t3: float
-    bound_t1t3: float
-    bound_t2t3: float
-    bound_t1t2t3: float
-    delta: dict[tuple[int, int, int, int], float]
-    sym_diff: dict[str, int]
+    return k_statistic(m12, m23, m13), w_statistic(m13, m23, m12)
 
 
 @dataclass
@@ -184,56 +161,58 @@ class EfficiencyAccumulator:
         self.n_lambda += other.n_lambda
         self.n_sym_diff += other.n_sym_diff
 
-    def report(self) -> EfficiencyReport:
+    def report(self) -> dict:
+        """The efficiencies, their bounds, the double-detection rates keyed by
+        context bit string, and the Lambda-set symmetric differences, keyed
+        as in a summary.json per-rep entry."""
         nh = self.counts[OPEN].n_herald  # every context sees the same heralds
         if nh == 0:
             raise NoHeralds("no herald detections in the shared-draw record")
         coinc = [c.n_plus + c.n_minus for c in self.counts]
         bound = lambda idx: float(sum(coinc[j] for j in idx)) / nh
-        return EfficiencyReport(
-            n_herald=nh,
-            eta_t3=self.n_lambda[0] / nh,
-            eta_t1t3=self.n_lambda[1] / nh,
-            eta_t2t3=self.n_lambda[2] / nh,
-            eta_t1t2t3=self.n_lambda[3] / nh,
-            bound_t1t3=bound((T1T3_PLUS, T1T3_MINUS)),
-            bound_t2t3=bound((T2T3_PLUS, T2T3_MINUS)),
-            bound_t1t2t3=bound((T1T2T3_PP, T1T2T3_PM, T1T2T3_MP, T1T2T3_MM)),
-            delta={
-                bits: float(c.n_double) / nh
+        return {
+            "eta_t3": self.n_lambda[0] / nh,
+            "eta_t1t3": self.n_lambda[1] / nh,
+            "eta_t2t3": self.n_lambda[2] / nh,
+            "eta_t1t2t3": self.n_lambda[3] / nh,
+            "bound_t1t3": bound((T1T3_PLUS, T1T3_MINUS)),
+            "bound_t2t3": bound((T2T3_PLUS, T2T3_MINUS)),
+            "bound_t1t2t3": bound((T1T2T3_PP, T1T2T3_PM, T1T2T3_MP, T1T2T3_MM)),
+            "delta": {
+                "".join(map(str, bits)): float(c.n_double) / nh
                 for (bits, _, _), c in zip(STANDARD_CONTEXT_TABLE, self.counts)
             },
-            sym_diff={
+            "sym_diff": {
                 "t1t3_vs_t2t3": int(self.n_sym_diff[0]),
                 "t1t3_vs_t1t2t3": int(self.n_sym_diff[1]),
                 "t2t3_vs_t1t2t3": int(self.n_sym_diff[2]),
             },
-        )
+        }
 
 
-def w_decomposition(
-    counts: list[ContextCounts], eff: EfficiencyReport
-) -> dict[str, float]:
+def w_decomposition(counts: list[ContextCounts], eff: dict) -> dict[str, float]:
     """Side-by-side view of the directly measured W and its marginal form.
 
     Each direct term is exhibited as mu[E|D1] / eta for its context group;
     the marginal terms divide by the common two-blocker efficiency instead.
     No new estimator: the direct W here equals w_statistic on the same counts.
+    `counts` are the shared-draw counts behind `eff`, a report() dict.
     """
-    nh = eff.n_herald
-    if nh == 0:
-        raise NoHeralds("no herald detections")
-    p13_mp = (counts[T1T3_MINUS].n_plus / nh) / eff.eta_t1t3
-    p23_mp = (counts[T2T3_MINUS].n_plus / nh) / eff.eta_t2t3
+    for name in ("eta_t1t3", "eta_t2t3", "eta_t1t2t3"):
+        if eff[name] == 0:
+            raise ZeroCoincidences(f"{name} is zero: its Lambda set is empty")
+    nh = counts[OPEN].n_herald
+    p13_mp = (counts[T1T3_MINUS].n_plus / nh) / eff["eta_t1t3"]
+    p23_mp = (counts[T2T3_MINUS].n_plus / nh) / eff["eta_t2t3"]
     p12_mp = (
         (counts[T1T2T3_MP].n_plus + counts[T1T2T3_MP].n_minus) / nh
-    ) / eff.eta_t1t2t3
+    ) / eff["eta_t1t2t3"]
     p13_mp_marg = (
         (counts[T1T2T3_MP].n_plus + counts[T1T2T3_MM].n_plus) / nh
-    ) / eff.eta_t1t2t3
+    ) / eff["eta_t1t2t3"]
     p23_mp_marg = (
         (counts[T1T2T3_PM].n_plus + counts[T1T2T3_MM].n_plus) / nh
-    ) / eff.eta_t1t2t3
+    ) / eff["eta_t1t2t3"]
     return {
         "p13_mp_direct": p13_mp,
         "p23_mp_direct": p23_mp,

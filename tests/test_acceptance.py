@@ -82,7 +82,7 @@ def test_04_double_detections(default_result):
 
 
 def test_05_lambda_set_distinctness(default_result):
-    diffs = [r.efficiency.sym_diff for r in default_result.reps]
+    diffs = [r.stats["sym_diff"] for r in default_result.reps]
     ok = all(all(v > 0 for v in d.values()) for d in diffs)
     check("5 lambda-set distinctness", ok, f"rep0 symmetric differences={diffs[0]}")
 
@@ -113,8 +113,8 @@ def test_07_marginal_identity_suite(default_result):
         worst_k = max(worst_k, k_marg)
         worst_w = max(worst_w, w_marg)
     for rep in default_result.reps:
-        worst_k = max(worst_k, rep.K_marginal)
-        worst_w = max(worst_w, rep.W_marginal)
+        worst_k = max(worst_k, rep.stats["K_marginal"])
+        worst_w = max(worst_w, rep.stats["W_marginal"])
     ok = worst_k <= 1.0 + 1e-12 and worst_w <= 1e-12
     check("7 marginal identities", ok, f"max K_marginal={worst_k:.12f} max W_marginal={worst_w:.2e}")
 

@@ -80,6 +80,15 @@ class TestRun:
         assert rc == 1
         assert "no-statistics" in capsys.readouterr().err
 
+    def test_zero_efficiency_reported(self, tmp_path, capsys):
+        # the per-context streams give PMFs, but the shared pass leaves a
+        # Lambda set empty, so the W decomposition has no efficiency to divide by
+        rc = run_cli(["run", "--samples", "800", "--reps", "1", "--seed", "3",
+                      "--out", str(tmp_path)])
+        assert rc == 1
+        assert "no-statistics" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_same_seed_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(["run", *TINY, "--out", str(out1)]) == 0

@@ -5,8 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgwave.experiment import default_workers, run_experiment, run_kw_only
-from lgwave.harness import MODE_SHARED, ExperimentPlan
+from lgwave.experiment import SUMMARY_STATS, default_workers, run_experiment, run_kw_only
+from lgwave.harness import MODE_SHARED, STANDARD_CONTEXT_TABLE, ExperimentPlan
 from lgwave.optics import OpticalParams, SourceParams
 from lgwave.oracle import predicted_pmfs
 from lgwave.stats import MINUS, PLUS, pmf2_from_counts
@@ -30,8 +30,8 @@ class TestRunExperiment:
         for a, b in [(r1, r2), (r1, r8)]:
             for ra, rb in zip(a.reps, b.reps):
                 assert ra.counts == rb.counts
-                assert ra.K == rb.K and ra.W == rb.W
-                assert ra.efficiency == rb.efficiency
+                assert ra.stats["K"] == rb.stats["K"] and ra.stats["W"] == rb.stats["W"]
+                assert ra.stats == rb.stats
 
     def test_shared_mode_uses_counterfactual_counts(self):
         p = plan(mode=MODE_SHARED)
@@ -44,8 +44,8 @@ class TestRunExperiment:
     def test_marginal_bounds_on_simulated_data(self):
         res = run_experiment(plan(samples=1 << 17, reps=3))
         for rep in res.reps:
-            assert rep.K_marginal <= 1.0 + 1e-12
-            assert rep.W_marginal <= 1e-12
+            assert rep.stats["K_marginal"] <= 1.0 + 1e-12
+            assert rep.stats["W_marginal"] <= 1e-12
 
     def test_simulated_pmf_near_quantum_prediction(self):
         res = run_experiment(plan(samples=1 << 19, reps=2, seed=21))
@@ -61,13 +61,24 @@ class TestRunExperiment:
         # reduces to -(mu[E+(1001)] + mu[E-(0110)]) / mu[Lambda], <= 0
         res = run_experiment(plan(samples=1 << 17, reps=2))
         for rep in res.reps:
-            assert rep.w_decomposition["w_marginal"] <= 1e-12
+            assert rep.stats["w_decomposition"]["w_marginal"] <= 1e-12
 
     def test_summary_mean_std(self):
         res = run_experiment(plan(reps=3))
-        ks = [r.K for r in res.reps]
+        ks = [r.stats["K"] for r in res.reps]
         assert res.summary["K"]["mean"] == np.mean(ks)
         assert abs(res.summary["K"]["std"] - np.std(ks, ddof=1)) < 1e-15
+        # every summary entry is the (mean, std) of its per-rep value
+        assert set(res.summary) == set(SUMMARY_STATS) | {
+            "delta_" + "".join(map(str, bits)) for bits, _, _ in STANDARD_CONTEXT_TABLE
+        }
+        for key, ms in res.summary.items():
+            if key.startswith("delta_"):
+                values = [r.stats["delta"][key[len("delta_"):]] for r in res.reps]
+            else:
+                values = [r.stats[key] for r in res.reps]
+            assert ms["mean"] == np.mean(values)
+            assert abs(ms["std"] - np.std(values, ddof=1)) < 1e-15
 
 
 class TestRunKwOnly:
@@ -77,6 +88,8 @@ class TestRunKwOnly:
         res = run_experiment(p)
         assert k["mean"] == res.summary["K"]["mean"]
         assert w["mean"] == res.summary["W"]["mean"]
+        assert k == res.summary["K"]
+        assert w == res.summary["W"]
 
     def test_shared_mode_matches_run_experiment(self):
         p = plan(mode=MODE_SHARED)

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lgwave.harness import MODE_SHARED, ContextCounts, ExperimentPlan, counterfactual_chunks
+from lgwave.harness import MODE_SHARED, OPEN, ContextCounts, ExperimentPlan, counterfactual_chunks
 from lgwave.optics import SourceParams
 from lgwave.stats import (
     MINUS,
@@ -156,36 +156,41 @@ def shared_plan(samples=1 << 15, gamma=2.0, seed=9):
     )
 
 
-def shared_report(plan):
+def shared_accumulator(plan):
     acc = EfficiencyAccumulator()
     for d in counterfactual_chunks(plan, 0):
         acc.update(*d)
-    return acc.report()
+    return acc
+
+
+def shared_report(plan):
+    return shared_accumulator(plan).report()
 
 
 class TestEfficiencies:
     def test_zero_threshold_all_double(self):
         # with gamma=0 every detector fires, so E+/E- are empty and eta = 0
         report = shared_report(shared_plan(samples=1 << 10, gamma=0.0))
-        assert report.eta_t3 == 0.0
-        assert report.delta[(1, 1, 1, 1)] == 1.0
+        assert report["eta_t3"] == 0.0
+        assert report["delta"]["1111"] == 1.0
 
     def test_no_heralds(self):
         with pytest.raises(NoHeralds):
             shared_report(shared_plan(samples=1 << 8, gamma=1e6))
 
     def test_direct_at_most_bound(self):
-        report = shared_report(shared_plan())
-        nh = report.n_herald
+        acc = shared_accumulator(shared_plan())
+        report = acc.report()
+        nh = acc.counts[OPEN].n_herald
         for eta, bound in [
-            (report.eta_t1t3, report.bound_t1t3),
-            (report.eta_t2t3, report.bound_t2t3),
-            (report.eta_t1t2t3, report.bound_t1t2t3),
+            (report["eta_t1t3"], report["bound_t1t3"]),
+            (report["eta_t2t3"], report["bound_t2t3"]),
+            (report["eta_t1t2t3"], report["bound_t1t2t3"]),
         ]:
             se = np.sqrt(bound * (1 - bound) / nh)
             assert eta <= bound + 4 * se
 
     def test_etas_in_unit_interval(self):
         report = shared_report(shared_plan())
-        for eta in (report.eta_t3, report.eta_t1t3, report.eta_t2t3, report.eta_t1t2t3):
+        for eta in (report["eta_t3"], report["eta_t1t3"], report["eta_t2t3"], report["eta_t1t2t3"]):
             assert 0.0 <= eta <= 1.0
