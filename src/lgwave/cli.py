@@ -176,20 +176,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def sweep_rows(cfg: RunConfig) -> list[dict]:
-    rows = []
-    for r, gamma, plan in sweep_plans(cfg):
-        k, w = run_kw_only(plan)
-        rows.append(
-            {
-                "r": r,
-                "gamma": gamma,
-                "K_mean": k["mean"],
-                "K_std": k["std"],
-                "W_mean": w["mean"],
-                "W_std": w["std"],
-            }
-        )
-    return rows
+    points = sweep_plans(cfg)
+    kw = run_kw_only([plan for _, _, plan in points])
+    return [
+        {
+            "r": r,
+            "gamma": gamma,
+            "K_mean": k["mean"],
+            "K_std": k["std"],
+            "W_mean": w["mean"],
+            "W_std": w["std"],
+        }
+        for (r, gamma, _), (k, w) in zip(points, kw)
+    ]
 
 
 def write_sweep_csv(rows: list[dict], path: Path) -> None:

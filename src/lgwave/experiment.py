@@ -2,21 +2,24 @@
 
 Work is split into small tasks (one context-repetition, or one shared-draw
 chunk) whose integer tallies are reduced in a fixed order, so the result is
-bit-identical for any worker count.  Worker count defaults to the
-LGWAVE_WORKERS environment variable, falling back to the CPU count.
+bit-identical for any worker count.  A sweep's tasks evaluate every grid
+point on their one draw of each chunk.  Worker count defaults to the
+LGWAVE_WORKERS environment variable, falling back to the number of CPUs
+this process may run on.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .harness import (
     MODE_INDEPENDENT,
     MODE_SHARED,
+    SHARED_STREAM_KEY,
     STANDARD_CONTEXT_TABLE,
     T1T2T3_MM,
     T1T2T3_MP,
@@ -29,6 +32,7 @@ from .harness import (
     ContextCounts,
     ExperimentPlan,
     counterfactual_chunks,
+    grid_counts,
     run_context,
 )
 from .stats import (
@@ -60,6 +64,8 @@ def default_workers() -> int:
         if workers < 1:
             raise ValueError(f"LGWAVE_WORKERS must be a positive integer, got {env!r}")
         return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -142,13 +148,14 @@ def _shared_chunk_task(plan: ExperimentPlan, rep: int, chunk: int) -> Efficiency
     return acc
 
 
-def _context_tasks(plan: ExperimentPlan) -> dict:
-    """One run_context task per (rep, context index), keyed by that pair."""
-    contexts = plan.contexts
+def _context_tasks(plans: list[ExperimentPlan]) -> dict:
+    """One run_context task per (rep, context index), keyed by that pair;
+    each evaluates every grid point in `plans` on its context's draws."""
+    plan = plans[0]
     return {
-        (rep, j): (run_context, plan, ctx, rep)
+        (rep, j): (run_context, plans, ctx, rep)
         for rep in range(plan.reps)
-        for j, ctx in enumerate(contexts)
+        for j, ctx in enumerate(plan.contexts)
     }
 
 
@@ -161,8 +168,8 @@ def _run_tasks(tasks: dict, workers: int | None) -> dict:
         return {key: fut.result() for key, fut in futs.items()}
 
 
-def _rep_counts(results: dict, rep: int) -> list[ContextCounts]:
-    return [results[(rep, j)] for j in range(len(STANDARD_CONTEXT_TABLE))]
+def _rep_counts(results: dict, rep: int, point: int) -> list[ContextCounts]:
+    return [results[(rep, j)][point] for j in range(len(STANDARD_CONTEXT_TABLE))]
 
 
 def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> ExperimentResult:
@@ -173,7 +180,7 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
     report; in shared-draws mode the shared pass supplies both.
     """
     independent = plan.mode == MODE_INDEPENDENT
-    tasks = _context_tasks(plan) if independent else {}
+    tasks = _context_tasks([plan]) if independent else {}
     for rep in range(plan.reps):
         for c in range(plan.n_chunks()):
             tasks[("shared", rep, c)] = (_shared_chunk_task, plan, rep, c)
@@ -184,7 +191,7 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
         acc = EfficiencyAccumulator()
         for c in range(plan.n_chunks()):
             acc.merge(results[("shared", rep, c)])
-        counts = _rep_counts(results, rep) if independent else acc.counts
+        counts = _rep_counts(results, rep, 0) if independent else acc.counts
         eff = acc.report()
         stats = {
             "rep": rep,
@@ -196,16 +203,44 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
     return ExperimentResult(reps=reps, summary=_summarize(reps))
 
 
-def run_kw_only(plan: ExperimentPlan, workers: int | None = None):
-    """Per-rep K and W only, summarized as (mean, std) each, for sweeps.
+def _sweep_counts(plans: list[ExperimentPlan], workers: int | None) -> list:
+    """counts[i][rep]: the nine context counts of grid point i in repetition
+    rep, every point evaluated on the same draws."""
+    plan = plans[0]
+    points, reps = range(len(plans)), range(plan.reps)
+    if plan.mode == MODE_INDEPENDENT:
+        results = _run_tasks(_context_tasks(plans), workers)
+        return [[_rep_counts(results, rep, i) for rep in reps] for i in points]
+    tasks = {
+        (rep, c): (grid_counts, plans, SHARED_STREAM_KEY, rep, plan.contexts, range(c, c + 1))
+        for rep in reps
+        for c in range(plan.n_chunks())
+    }
+    results = _run_tasks(tasks, workers)
+    counts = [[[ContextCounts() for _ in STANDARD_CONTEXT_TABLE] for _ in reps] for _ in points]
+    for (rep, _), per_point in results.items():
+        for i, part in enumerate(per_point):
+            for total, c in zip(counts[i][rep], part):
+                total.add(c)
+    return counts
 
-    In independent-draws mode the shared-draw efficiency pass is skipped;
-    in shared-draws mode that pass supplies the counts, so this is
-    run_experiment's K and W summary.
+
+def run_kw_only(plans: list[ExperimentPlan], workers: int | None = None):
+    """Per-rep K and W only, summarized as (mean, std) each, at every grid
+    point in `plans`; one (K, W) pair per plan, in order.
+
+    The plans may differ only in source and gamma (ValueError otherwise):
+    each chunk of each stream is drawn once and serves every point.  No
+    efficiency pass runs; in shared-draws mode the shared stream supplies the
+    nine context counts, so K and W equal run_experiment's.
     """
-    if plan.mode == MODE_SHARED:
-        summary = run_experiment(plan, workers).summary
-        return summary["K"], summary["W"]
-    results = _run_tasks(_context_tasks(plan), workers)
-    stats = [_lg_stats(_rep_counts(results, rep)) for rep in range(plan.reps)]
-    return _mean_std([s["K"] for s in stats]), _mean_std([s["W"] for s in stats])
+    if not plans:
+        raise ValueError("a grid needs at least one plan")
+    for p in plans:
+        if replace(p, source=plans[0].source, gamma=plans[0].gamma) != plans[0]:
+            raise ValueError("grid plans may differ only in source and gamma")
+    kw = []
+    for point in _sweep_counts(plans, workers):
+        stats = [_lg_stats(counts) for counts in point]
+        kw.append((_mean_std([s["K"] for s in stats]), _mean_std([s["W"] for s in stats])))
+    return kw

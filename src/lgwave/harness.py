@@ -5,6 +5,8 @@ are processed in fixed chunks of CHUNK; chunk c of repetition `rep` for the
 context with packed bits `k` uses the Philox generator seeded by
 SeedSequence([seed, k, rep, c]).  In shared-draw mode every context sees the
 same hidden states, obtained with the reserved stream key SHARED_STREAM_KEY.
+Streams depend on neither r nor gamma, so one draw of a chunk serves every
+(r, gamma) point of a sweep grid.
 Counts are plain integers accumulated chunk by chunk, so any parallel
 schedule that reduces them in a fixed order reproduces the serial result
 exactly.
@@ -179,42 +181,62 @@ def _transfer(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _detections(
-    plan: ExperimentPlan, key: int, rep_index: int, contexts: list[Context], chunks: range
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(d1, d2, d3) of each chunk of stream `key`, every context evaluated on
-    the chunk's draws.  d1 has shape (n,) and is shared: the heralding beam
-    never touches the blockers.  d2 and d3 have shape (k, n), one contiguous
-    row per context.
+    plans: list[ExperimentPlan], key: int, rep_index: int, contexts: list[Context], chunks: range
+) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Per chunk of stream `key`, the (d1, d2, d3) of every grid point in
+    `plans`, every context evaluated on the chunk's one draw.  The plans
+    differ at most in source and gamma; the stream and the chunking are
+    plans[0]'s.  d1 has shape (n,) and is shared by the contexts: the
+    heralding beam never touches the blockers.  d2 and d3 have shape (k, n),
+    one contiguous row per context.
 
-    The network is compiled once (compile_network); each chunk is then one
-    product with its packed draws, squared, summed per detector and
-    thresholded.  evaluate_context stays the reference: the two round
+    The network is compiled once per distinct source (compile_network); each
+    row block of a chunk is then one product per source with the packed
+    draws, squared, summed per detector and thresholded at each gamma paired
+    with that source.  evaluate_context stays the reference: the two round
     differently, so they can only disagree on a power within rounding of
     gamma**2."""
-    m = compile_network(plan.source, contexts)
-    threshold = plan.gamma * plan.gamma
+    by_source: dict[SourceParams, list[tuple[int, float]]] = {}
+    for i, p in enumerate(plans):
+        by_source.setdefault(p.source, []).append((i, p.gamma * p.gamma))
+    networks = [(compile_network(src, contexts), points) for src, points in by_source.items()]
+    plan = plans[0]
     for c in chunks:
         n = plan.chunk_size(c)
         h = sample_hidden(plan.chunk_rng(key, rep_index, c), n)
         x = h.packed.reshape(n, -1).view(np.float64)
-        det = np.empty((m.shape[1] // 4, n), dtype=bool)
+        det = np.empty((len(plans), 1 + 2 * len(contexts), n), dtype=bool)
         for lo in range(0, n, ROW_BLOCK):
-            amp = _transfer(x[lo : lo + ROW_BLOCK], m)
-            parts = np.square(amp, out=amp).reshape(len(amp), -1, 4)
-            power = parts[..., 0] + parts[..., 1]
-            power += parts[..., 2] + parts[..., 3]
-            np.greater(power.T, threshold, out=det[:, lo : lo + ROW_BLOCK])
-        yield det[0], det[1::2], det[2::2]
+            for m, points in networks:
+                amp = _transfer(x[lo : lo + ROW_BLOCK], m)
+                parts = np.square(amp, out=amp).reshape(len(amp), -1, 4)
+                power = parts[..., 0] + parts[..., 1]
+                power += parts[..., 2] + parts[..., 3]
+                for i, threshold in points:
+                    np.greater(power.T, threshold, out=det[i, :, lo : lo + ROW_BLOCK])
+        yield [(d[0], d[1::2], d[2::2]) for d in det]
 
 
-def run_context(plan: ExperimentPlan, ctx: Context, rep_index: int) -> ContextCounts:
-    """Tally one context over plan.samples realizations of one repetition."""
+def grid_counts(
+    plans: list[ExperimentPlan], key: int, rep_index: int, contexts: list[Context], chunks: range
+) -> list[list[ContextCounts]]:
+    """Tallies [grid point][context] over `chunks` of stream `key`, every
+    point and context evaluated on the same draws."""
+    totals = [[ContextCounts() for _ in contexts] for _ in plans]
+    for dets in _detections(plans, key, rep_index, contexts, chunks):
+        for point, d in zip(totals, dets):
+            for total, part in zip(point, _tally(*d)):
+                total.add(part)
+    return totals
+
+
+def run_context(plans: list[ExperimentPlan], ctx: Context, rep_index: int) -> list[ContextCounts]:
+    """Tally one context over the samples of one repetition at every grid
+    point in `plans`, drawing each chunk once; one count per point."""
+    plan = plans[0]
     key = SHARED_STREAM_KEY if plan.mode == MODE_SHARED else ctx.bits_int
-    total = ContextCounts()
-    for d in _detections(plan, key, rep_index, [ctx], range(plan.n_chunks())):
-        (counts,) = _tally(*d)
-        total.add(counts)
-    return total
+    counts = grid_counts(plans, key, rep_index, [ctx], range(plan.n_chunks()))
+    return [c for (c,) in counts]
 
 
 def counterfactual_chunks(
@@ -224,4 +246,5 @@ def counterfactual_chunks(
     nine contexts evaluated on it.  Chunks arrive in index order."""
     if chunk_indices is None:
         chunk_indices = range(plan.n_chunks())
-    yield from _detections(plan, SHARED_STREAM_KEY, rep_index, plan.contexts, chunk_indices)
+    for (d,) in _detections([plan], SHARED_STREAM_KEY, rep_index, plan.contexts, chunk_indices):
+        yield d

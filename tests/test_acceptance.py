@@ -123,16 +123,14 @@ def test_08_sweep_trends():
     samples = 1 << 18 if FULL else 1 << 17
     reps = 4 if FULL else 3
 
-    def k_at(r, gamma):
-        plan = ExperimentPlan(
+    # one fused call: every point is evaluated on the same draws
+    plans = [
+        ExperimentPlan(
             source=SourceParams(r=r), gamma=gamma, samples=samples, reps=reps, seed=8
         )
-        return run_kw_only(plan)[0]["mean"]
-
-    k_g15 = k_at(0.3, 1.5)
-    k_g20 = k_at(0.3, 2.0)
-    k_small_r = k_at(0.1, 2.0)
-    k_large_r = k_at(1.0, 2.0)
+        for r, gamma in ((0.3, 1.5), (0.3, 2.0), (0.1, 2.0), (1.0, 2.0))
+    ]
+    k_g15, k_g20, k_small_r, k_large_r = (k["mean"] for k, _ in run_kw_only(plans))
     ok = k_g20 > k_g15 and k_large_r > k_small_r and k_large_r > 1.5
     check(
         "8 sweep trends", ok,

@@ -2,6 +2,7 @@ import os
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,7 +85,7 @@ class TestRunExperiment:
 class TestRunKwOnly:
     def test_matches_full_driver(self):
         p = plan()
-        k, w = run_kw_only(p)
+        [(k, w)] = run_kw_only([p])
         res = run_experiment(p)
         assert k["mean"] == res.summary["K"]["mean"]
         assert w["mean"] == res.summary["W"]["mean"]
@@ -93,10 +94,34 @@ class TestRunKwOnly:
 
     def test_shared_mode_matches_run_experiment(self):
         p = plan(mode=MODE_SHARED)
-        k, w = run_kw_only(p)
+        [(k, w)] = run_kw_only([p])
         res = run_experiment(p)
         assert k == res.summary["K"]
         assert w == res.summary["W"]
+
+    @pytest.mark.parametrize("mode", ["independent-draws", MODE_SHARED])
+    def test_grid_matches_one_point_calls(self, mode):
+        # unsorted, repeated r; repeated gamma; a point repeated whole
+        points = [(0.9, 2.0), (0.3, 1.5), (0.9, 1.5), (0.3, 1.5)]
+        plans = [
+            plan(source=SourceParams(r=r), gamma=g, samples=5000, mode=mode)
+            for r, g in points
+        ]
+        assert run_kw_only(plans) == [run_kw_only([p])[0] for p in plans]
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"seed": 4}, {"samples": 1 << 15}, {"optics": OpticalParams(t1=0.4)},
+         {"reps": 3}, {"mode": MODE_SHARED}],
+    )
+    def test_grid_plans_differ_only_in_source_and_gamma(self, change):
+        plans = [plan(), plan(source=SourceParams(r=0.6), gamma=1.5, **change)]
+        with pytest.raises(ValueError, match="source and gamma"):
+            run_kw_only(plans)
+
+    def test_empty_grid(self):
+        with pytest.raises(ValueError):
+            run_kw_only([])
 
 
 # Any text an environment variable can hold: no NUL, no lone surrogates.
@@ -112,3 +137,15 @@ def test_default_workers_positive_int_or_value_error(value):
         except ValueError:
             return
     assert isinstance(workers, int) and workers >= 1
+
+
+def test_default_workers_counts_usable_cpus(monkeypatch):
+    # a cpuset-limited process gets one worker per CPU it may run on, not
+    # one per CPU of the host
+    monkeypatch.delenv("LGWAVE_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert default_workers() == 2
+    # platforms without sched_getaffinity fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_workers() == 64

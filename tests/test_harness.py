@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lgwave.harness import (
     _tally,
     counterfactual_chunks,
     evaluate_context,
+    grid_counts,
     run_context,
     standard_contexts,
 )
@@ -80,29 +83,29 @@ class TestEvaluateContext:
 
 class TestRunContext:
     def test_empty_run(self):
-        c = run_context(plan(samples=0), open_context(), 0)
+        (c,) = run_context([plan(samples=0)], open_context(), 0)
         assert (c.n_herald, c.n_plus, c.n_minus, c.n_double, c.n_total) == (0, 0, 0, 0, 0)
 
     def test_zero_threshold_all_double(self):
         n = 1 << 10
-        c = run_context(plan(samples=n, gamma=0.0), open_context(), 0)
+        (c,) = run_context([plan(samples=n, gamma=0.0)], open_context(), 0)
         assert c.n_plus == 0 and c.n_minus == 0
         assert c.n_double == c.n_herald == c.n_total == n
 
     def test_count_ordering(self):
-        c = run_context(plan(samples=1 << 16), open_context(), 0)
+        (c,) = run_context([plan(samples=1 << 16)], open_context(), 0)
         assert c.n_plus + c.n_minus + c.n_double <= c.n_herald <= c.n_total
 
     def test_deterministic(self):
         p = plan(samples=CHUNK + 100)  # spans a partial chunk
-        c1 = run_context(p, open_context(), 0)
-        c2 = run_context(p, open_context(), 0)
+        c1 = run_context([p], open_context(), 0)
+        c2 = run_context([p], open_context(), 0)
         assert c1 == c2
 
     def test_reps_use_fresh_streams(self):
         p = plan(samples=1 << 14)
-        c0 = run_context(p, open_context(), 0)
-        c1 = run_context(p, open_context(), 1)
+        c0 = run_context([p], open_context(), 0)
+        c1 = run_context([p], open_context(), 1)
         assert c0 != c1
 
 
@@ -119,14 +122,14 @@ class TestCounterfactual:
             for tot, part in zip(totals, _tally(*d)):
                 tot.add(part)
         for ctx, expected in zip(p.contexts, totals):
-            assert run_context(p, ctx, 0) == expected
+            assert run_context([p], ctx, 0) == [expected]
 
     def test_modes_statistically_compatible(self):
         # z-score between coincidence rates of the two draw modes < 4
         n = 1 << 17
         ctx = open_context()
-        c_ind = run_context(plan(samples=n, mode=MODE_INDEPENDENT, seed=5), ctx, 0)
-        c_sh = run_context(plan(samples=n, mode=MODE_SHARED, seed=5), ctx, 0)
+        (c_ind,) = run_context([plan(samples=n, mode=MODE_INDEPENDENT, seed=5)], ctx, 0)
+        (c_sh,) = run_context([plan(samples=n, mode=MODE_SHARED, seed=5)], ctx, 0)
         for attr in ("n_herald", "n_plus", "n_minus"):
             x, y = getattr(c_ind, attr), getattr(c_sh, attr)
             p_hat = (x + y) / (2 * n)
@@ -148,6 +151,24 @@ def random_plan(i):
         gamma=g.uniform(0.5, 2.5), samples=(1, 63, 1000, 4099, CHUNK + 37)[i % 5],
         reps=1, mode=(MODE_INDEPENDENT, MODE_SHARED)[i % 2], seed=int(g.integers(1 << 30)),
     )
+
+
+def random_grid(i):
+    """Grid i of the fused kernel's differential test: random_plan(i)'s
+    optics, mode and seed, 2 reps, samples 1, 4099 or CHUNK+37, and 2-4
+    (r, gamma) points.  Between them the templates repeat r and list it
+    unsorted, repeat gamma and whole points, use gamma = 0, and leave out
+    points of the full r x gamma product."""
+    g = np.random.default_rng(2000 + i)
+    r0, r1, r2 = np.sort(g.uniform(0, 1.2, 3))
+    g0, g1 = g.uniform(0.5, 2.5, 2)
+    points = (
+        [(r1, g1), (r0, g1), (r1, 0.0)],
+        [(r0, g0), (r0, g0)],
+        [(r2, g0), (r0, g1), (r1, g0), (r0, 0.0)],
+    )[i % 3]
+    base = replace(random_plan(i), samples=(1, 4099, CHUNK + 37)[(i // 2) % 3], reps=2)
+    return [replace(base, source=SourceParams(r=r), gamma=gamma) for r, gamma in points]
 
 
 class TestKernelMatchesReference:
@@ -175,7 +196,28 @@ class TestKernelMatchesReference:
             h = sample_hidden(p.chunk_rng(key, 0, c), p.chunk_size(c))
             (counts,) = _tally(*evaluate_context(h, p.source, ctx, p.gamma))
             expected.add(counts)
-        assert run_context(p, ctx, 0) == expected
+        assert run_context([p], ctx, 0) == [expected]
+
+    @pytest.mark.parametrize("i", range(12))
+    def test_grid_counts_match_one_point_calls(self, i):
+        # the kernel a sweep runs: one context per stream in independent-draws
+        # mode, all nine on the shared stream in shared-draws mode
+        plans = random_grid(i)
+        p = plans[0]
+        ctx = p.contexts[i % 9]
+        if p.mode == MODE_SHARED:
+            key, contexts = SHARED_STREAM_KEY, p.contexts
+        else:
+            key, contexts = ctx.bits_int, [ctx]
+        chunks = range(p.n_chunks())
+        for rep in range(p.reps):
+            fused = grid_counts(plans, key, rep, contexts, chunks)
+            assert len(fused) == len(plans)
+            for counts, q in zip(fused, plans):
+                assert counts == grid_counts([q], key, rep, contexts, chunks)[0]
+            assert run_context(plans, ctx, rep) == [
+                run_context([q], ctx, rep)[0] for q in plans
+            ]
 
 
 class TestPlanValidation:

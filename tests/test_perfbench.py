@@ -17,10 +17,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Per workload: whether it runs the shared-draw efficiency pass, whether it
 # runs per-context tasks, and how many grid points reopen the same streams.
+# A sweep draws each stream once for all of its grid points, so that is 1
+# everywhere.
 SIGNATURES = {
     "run_indep": (True, True, 1),
     "run_shared": (True, False, 1),
-    "sweep_kw": (False, True, 6),
+    "sweep_kw": (False, True, 1),
 }
 
 
