@@ -76,10 +76,10 @@ class RunConfig:
         return ExperimentPlan(**kwargs)
 
 
-def sweep_plans(cfg: RunConfig) -> list[tuple[float, float, ExperimentPlan]]:
-    """(r, gamma, plan) of every sweep grid point, in sweep.csv row order."""
+def sweep_plans(cfg: RunConfig) -> list[ExperimentPlan]:
+    """The plan of every sweep grid point, in sweep.csv row order."""
     return [
-        (r, gamma, cfg.plan(source=SourceParams(r=r), gamma=gamma))
+        cfg.plan(source=SourceParams(r=r), gamma=gamma)
         for gamma in cfg.sweep_gamma
         for r in cfg.sweep_r
     ]
@@ -175,40 +175,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def sweep_rows(cfg: RunConfig) -> list[dict]:
-    points = sweep_plans(cfg)
-    kw = run_kw_only([plan for _, _, plan in points])
-    return [
-        {
-            "r": r,
-            "gamma": gamma,
-            "K_mean": k["mean"],
-            "K_std": k["std"],
-            "W_mean": w["mean"],
-            "W_std": w["std"],
-        }
-        for (r, gamma, _), (k, w) in zip(points, kw)
-    ]
-
-
-def write_sweep_csv(rows: list[dict], path: Path) -> None:
+def write_sweep_csv(plans: list[ExperimentPlan], kw: list, path: Path) -> None:
     lines = ["r,gamma,K_mean,K_std,W_mean,W_std,lgi_bound,qm_bound"]
-    for row in rows:
+    for p, (k, w) in zip(plans, kw):
         lines.append(
-            f"{row['r']},{row['gamma']},{row['K_mean']!r},{row['K_std']!r},"
-            f"{row['W_mean']!r},{row['W_std']!r},1.0,1.5"
+            f"{p.source.r},{p.gamma},{k['mean']!r},{k['std']!r},"
+            f"{w['mean']!r},{w['std']!r},1.0,1.5"
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args)
-    rows = sweep_rows(cfg)
+    plans = sweep_plans(cfg)
+    kw = run_kw_only(plans)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
-    write_sweep_csv(rows, path)
-    print(f"wrote {path} ({len(rows)} rows)")
+    write_sweep_csv(plans, kw, path)
+    print(f"wrote {path} ({len(plans)} rows)")
     return EXIT_OK
 
 

@@ -1,11 +1,11 @@
 """Full nine-context experiment: repetitions, parallel execution, summaries.
 
-Work is split into small tasks (one context-repetition, or one shared-draw
-chunk) whose integer tallies are reduced in a fixed order, so the result is
-bit-identical for any worker count.  A sweep's tasks evaluate every grid
-point on their one draw of each chunk.  Worker count defaults to the
-LGWAVE_WORKERS environment variable, falling back to the number of CPUs
-this process may run on.
+One driver serves `run` and `sweep`.  Work is split into small tasks (one
+context-repetition, or one shared-draw chunk) whose integer tallies are
+reduced in a fixed order, so the result is bit-identical for any worker
+count.  Every task evaluates all grid points on its one draw of each chunk.
+Worker count defaults to the LGWAVE_WORKERS environment variable, falling
+back to the number of CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .harness import (
-    MODE_INDEPENDENT,
     MODE_SHARED,
-    SHARED_STREAM_KEY,
     STANDARD_CONTEXT_TABLE,
     T1T2T3_MM,
     T1T2T3_MP,
@@ -32,13 +30,13 @@ from .harness import (
     ContextCounts,
     ExperimentPlan,
     counterfactual_chunks,
-    grid_counts,
     run_context,
 )
 from .stats import (
     MINUS,
     PLUS,
     EfficiencyAccumulator,
+    ZeroCoincidences,
     correlation,
     marginal_12,
     marginal_lg,
@@ -141,17 +139,31 @@ def _lg_stats(counts: list[ContextCounts]) -> dict[str, float]:
     }
 
 
-def _shared_chunk_task(plan: ExperimentPlan, rep: int, chunk: int) -> EfficiencyAccumulator:
-    acc = EfficiencyAccumulator()
-    for d in counterfactual_chunks(plan, rep, range(chunk, chunk + 1)):
-        acc.update(*d)
-    return acc
+def _shared_chunk_task(plans: list[ExperimentPlan], rep: int, chunk: int) -> list:
+    """One chunk of the shared-draw pass: one EfficiencyAccumulator per grid point."""
+    accs = [EfficiencyAccumulator() for _ in plans]
+    for dets in counterfactual_chunks(plans, rep, range(chunk, chunk + 1)):
+        for acc, d in zip(accs, dets):
+            acc.update(*d)
+    return accs
 
 
-def _context_tasks(plans: list[ExperimentPlan]) -> dict:
-    """One run_context task per (rep, context index), keyed by that pair;
-    each evaluates every grid point in `plans` on its context's draws."""
+def _shared_tasks(plans: list[ExperimentPlan]) -> dict:
+    """The shared-draw pass: one task per (rep, chunk), keyed ("shared", rep, chunk)."""
     plan = plans[0]
+    return {
+        ("shared", rep, c): (_shared_chunk_task, plans, rep, c)
+        for rep in range(plan.reps)
+        for c in range(plan.n_chunks())
+    }
+
+
+def _count_tasks(plans: list[ExperimentPlan]) -> dict:
+    """The tasks that yield the nine context counts: one run_context per
+    (rep, context index) on independent draws, else the shared pass."""
+    plan = plans[0]
+    if plan.mode == MODE_SHARED:
+        return _shared_tasks(plans)
     return {
         (rep, j): (run_context, plans, ctx, rep)
         for rep in range(plan.reps)
@@ -159,17 +171,27 @@ def _context_tasks(plans: list[ExperimentPlan]) -> dict:
     }
 
 
-def _run_tasks(tasks: dict, workers: int | None) -> dict:
-    """Run every task (fn, *args) on the thread pool; results keep the keys."""
+def _reduce(plans: list[ExperimentPlan], tasks: dict, workers: int | None) -> list:
+    """Run every task (fn, *args) on the thread pool and reduce the results
+    in a fixed order: [grid point][rep] -> (its nine context counts, its
+    merged shared-pass accumulator, empty if no shared pass ran)."""
     if workers is None:
         workers = default_workers()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futs = {key: pool.submit(*task) for key, task in tasks.items()}
-        return {key: fut.result() for key, fut in futs.items()}
+        results = {key: fut.result() for key, fut in futs.items()}
+    plan = plans[0]
 
+    def counts_and_acc(i: int, rep: int):
+        acc = EfficiencyAccumulator()
+        for c in range(plan.n_chunks()):
+            if ("shared", rep, c) in results:
+                acc.merge(results[("shared", rep, c)][i])
+        if plan.mode == MODE_SHARED:
+            return acc.counts, acc
+        return [results[(rep, j)][i] for j in range(len(STANDARD_CONTEXT_TABLE))], acc
 
-def _rep_counts(results: dict, rep: int, point: int) -> list[ContextCounts]:
-    return [results[(rep, j)][point] for j in range(len(STANDARD_CONTEXT_TABLE))]
+    return [[counts_and_acc(i, rep) for rep in range(plan.reps)] for i in range(len(plans))]
 
 
 def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> ExperimentResult:
@@ -179,19 +201,10 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
     streams and a shared-draw pass supplies the counterfactual efficiency
     report; in shared-draws mode the shared pass supplies both.
     """
-    independent = plan.mode == MODE_INDEPENDENT
-    tasks = _context_tasks([plan]) if independent else {}
-    for rep in range(plan.reps):
-        for c in range(plan.n_chunks()):
-            tasks[("shared", rep, c)] = (_shared_chunk_task, plan, rep, c)
-    results = _run_tasks(tasks, workers)
-
+    plans = [plan]
+    [point] = _reduce(plans, _count_tasks(plans) | _shared_tasks(plans), workers)
     reps: list[RepResult] = []
-    for rep in range(plan.reps):
-        acc = EfficiencyAccumulator()
-        for c in range(plan.n_chunks()):
-            acc.merge(results[("shared", rep, c)])
-        counts = _rep_counts(results, rep, 0) if independent else acc.counts
+    for rep, (counts, acc) in enumerate(point):
         eff = acc.report()
         stats = {
             "rep": rep,
@@ -203,36 +216,15 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> Experime
     return ExperimentResult(reps=reps, summary=_summarize(reps))
 
 
-def _sweep_counts(plans: list[ExperimentPlan], workers: int | None) -> list:
-    """counts[i][rep]: the nine context counts of grid point i in repetition
-    rep, every point evaluated on the same draws."""
-    plan = plans[0]
-    points, reps = range(len(plans)), range(plan.reps)
-    if plan.mode == MODE_INDEPENDENT:
-        results = _run_tasks(_context_tasks(plans), workers)
-        return [[_rep_counts(results, rep, i) for rep in reps] for i in points]
-    tasks = {
-        (rep, c): (grid_counts, plans, SHARED_STREAM_KEY, rep, plan.contexts, range(c, c + 1))
-        for rep in reps
-        for c in range(plan.n_chunks())
-    }
-    results = _run_tasks(tasks, workers)
-    counts = [[[ContextCounts() for _ in STANDARD_CONTEXT_TABLE] for _ in reps] for _ in points]
-    for (rep, _), per_point in results.items():
-        for i, part in enumerate(per_point):
-            for total, c in zip(counts[i][rep], part):
-                total.add(c)
-    return counts
-
-
 def run_kw_only(plans: list[ExperimentPlan], workers: int | None = None):
     """Per-rep K and W only, summarized as (mean, std) each, at every grid
     point in `plans`; one (K, W) pair per plan, in order.
 
     The plans may differ only in source and gamma (ValueError otherwise):
-    each chunk of each stream is drawn once and serves every point.  No
-    efficiency pass runs; in shared-draws mode the shared stream supplies the
-    nine context counts, so K and W equal run_experiment's.
+    each chunk of each stream is drawn once and serves every point.  The
+    tasks are run_experiment's count tasks, so in shared-draws mode they
+    are its shared pass, with no efficiency report; K and W equal
+    run_experiment's.  A failing point's error message names its r and gamma.
     """
     if not plans:
         raise ValueError("a grid needs at least one plan")
@@ -240,7 +232,10 @@ def run_kw_only(plans: list[ExperimentPlan], workers: int | None = None):
         if replace(p, source=plans[0].source, gamma=plans[0].gamma) != plans[0]:
             raise ValueError("grid plans may differ only in source and gamma")
     kw = []
-    for point in _sweep_counts(plans, workers):
-        stats = [_lg_stats(counts) for counts in point]
+    for p, point in zip(plans, _reduce(plans, _count_tasks(plans), workers)):
+        try:
+            stats = [_lg_stats(counts) for counts, _ in point]
+        except (ZeroCoincidences, InvariantViolation) as e:
+            raise type(e)(f"r={p.source.r}, gamma={p.gamma}: {e}") from e
         kw.append((_mean_std([s["K"] for s in stats]), _mean_std([s["W"] for s in stats])))
     return kw

@@ -217,34 +217,25 @@ def _detections(
         yield [(d[0], d[1::2], d[2::2]) for d in det]
 
 
-def grid_counts(
-    plans: list[ExperimentPlan], key: int, rep_index: int, contexts: list[Context], chunks: range
-) -> list[list[ContextCounts]]:
-    """Tallies [grid point][context] over `chunks` of stream `key`, every
-    point and context evaluated on the same draws."""
-    totals = [[ContextCounts() for _ in contexts] for _ in plans]
-    for dets in _detections(plans, key, rep_index, contexts, chunks):
-        for point, d in zip(totals, dets):
-            for total, part in zip(point, _tally(*d)):
-                total.add(part)
-    return totals
-
-
 def run_context(plans: list[ExperimentPlan], ctx: Context, rep_index: int) -> list[ContextCounts]:
     """Tally one context over the samples of one repetition at every grid
     point in `plans`, drawing each chunk once; one count per point."""
     plan = plans[0]
     key = SHARED_STREAM_KEY if plan.mode == MODE_SHARED else ctx.bits_int
-    counts = grid_counts(plans, key, rep_index, [ctx], range(plan.n_chunks()))
-    return [c for (c,) in counts]
+    totals = [ContextCounts() for _ in plans]
+    for dets in _detections(plans, key, rep_index, [ctx], range(plan.n_chunks())):
+        for total, d in zip(totals, dets):
+            total.add(_tally(*d)[0])
+    return totals
 
 
 def counterfactual_chunks(
-    plan: ExperimentPlan, rep_index: int, chunk_indices: range | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    plans: list[ExperimentPlan], rep_index: int, chunk_indices: range | None = None
+) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Stream shared-draw detections: one hidden state per realization, all
-    nine contexts evaluated on it.  Chunks arrive in index order."""
+    nine contexts evaluated on it at every grid point in `plans`; per chunk,
+    one (d1, d2, d3) per point.  Chunks arrive in index order."""
+    plan = plans[0]
     if chunk_indices is None:
         chunk_indices = range(plan.n_chunks())
-    for (d,) in _detections([plan], SHARED_STREAM_KEY, rep_index, plan.contexts, chunk_indices):
-        yield d
+    return _detections(plans, SHARED_STREAM_KEY, rep_index, plan.contexts, chunk_indices)

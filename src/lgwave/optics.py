@@ -26,6 +26,19 @@ SIGMA = 1.0 / np.sqrt(2.0)
 # realization: 7 vectors x 2 components x (real, imag).
 NORMALS_PER_REALIZATION = 28
 
+# Largest accepted squeezing strength: below it every detector power stays
+# a finite float for any draw.  numpy's ziggurat standard_normal returns
+# |u| < 14: its tail draw is 3.654 + E / 3.654 with E = -log(1 - U) <= 53 ln 2
+# for a 53-bit uniform U.  So the 28 reals x of a packed hidden state have
+# |x|^2 < 28 (14 SIGMA)^2 = 2744 < e^8.  A detector's power is |x M|^2 for
+# its 28 x 4 block M of compile_network, and |x M|^2 <= |x|^2 |M|_F^2, where
+# |M|_F^2 = 2 E[power] because each real of x has variance 1/2.  The arms
+# enter with mean power cosh 2r + 1, beam splitters conserve power and each
+# of a context's at most two blockers adds at most the vacuum's 1, so
+# E[power] <= cosh 2r + 3 <= e^(2r) for r >= 1.  Hence power < 2 e^(2r + 8),
+# finite while 2r + 8 + ln 2 < ln(float max) = 709.78, i.e. r < 350.5.
+R_MAX = 350.0
+
 
 def require_finite(name: str, value: float) -> None:
     """Reject bools, non-real values, NaN, infinities and ints too large
@@ -65,15 +78,14 @@ class HiddenState:
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Squeezing strength r >= 0; sigma is fixed by the vacuum normalization."""
+    """Squeezing strength 0 <= r <= R_MAX."""
 
     r: float
-    sigma: float = SIGMA
 
     def __post_init__(self):
         require_finite("r", self.r)
-        if self.r < 0:
-            raise ValueError(f"squeezing strength must be >= 0, got {self.r}")
+        if not 0 <= self.r <= R_MAX:
+            raise ValueError(f"squeezing strength must lie in [0, {R_MAX}], got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -149,9 +161,9 @@ def source_output(h: HiddenState, p: SourceParams):
     """
     ch = np.cosh(p.r)
     sh = np.sinh(p.r)
-    a1 = p.sigma * (h.z1 * ch + np.conj(h.z2) * sh)
-    a2 = p.sigma * (h.z2 * ch + np.conj(h.z1) * sh)
-    a3 = p.sigma * h.z3
+    a1 = SIGMA * (h.z1 * ch + np.conj(h.z2) * sh)
+    a2 = SIGMA * (h.z2 * ch + np.conj(h.z1) * sh)
+    a3 = SIGMA * h.z3
     return a1, a2, a3
 
 

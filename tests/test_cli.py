@@ -115,12 +115,21 @@ class TestRun:
         assert "invalid-config" in capsys.readouterr().err
 
     def test_golden_counts(self, tmp_path):
-        # frozen tiny run: samples=2^10, reps=2, seed=7
-        out = tmp_path / "golden"
-        assert run_cli(["run", "--samples", "1024", "--reps", "2", "--seed", "7",
-                        "--gamma", "1.2", "--out", str(out)]) == 0
-        expected = (DATA / "golden_counts.csv").read_bytes()
-        assert (out / "counts.csv").read_bytes() == expected
+        # frozen tiny runs and sweeps, one per draw mode: (argv, output, golden file)
+        run = ["run", "--samples", "1024", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
+        sweep = ["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
+                 "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"]
+        shared = ["--mode", "shared-draws"]
+        cases = [
+            (run, "counts.csv", "golden_counts.csv"),
+            (run + shared, "counts.csv", "golden_counts_shared.csv"),
+            (sweep, "sweep.csv", "golden_sweep_independent.csv"),
+            (sweep + shared, "sweep.csv", "golden_sweep_shared.csv"),
+        ]
+        for i, (argv, output, golden) in enumerate(cases):
+            out = tmp_path / str(i)
+            assert run_cli([*argv, "--out", str(out)]) == 0
+            assert (out / output).read_bytes() == (DATA / golden).read_bytes(), golden
 
 
 class TestSweep:
@@ -148,6 +157,16 @@ class TestSweep:
         assert run_cli(["sweep", "--sweep-r", ""]) == 2
         assert "invalid-config" in capsys.readouterr().err
 
+    def test_failing_point_named(self, tmp_path, capsys):
+        # gamma = 50 leaves its point without a single coincidence
+        for mode in ("independent-draws", "shared-draws"):
+            assert run_cli([
+                "sweep", "--samples", "4096", "--reps", "2", "--seed", "7", "--mode", mode,
+                "--sweep-r", "0.5", "--sweep-gamma", "1.2,50", "--out", str(tmp_path),
+            ]) == 1
+            err = capsys.readouterr().err
+            assert "[no-statistics] r=0.5, gamma=50.0: all four coincidence" in err, mode
+
 
 # Small sizes keep a row fast should validation ever let it through to a run.
 SMALL = ["--samples", "64", "--reps", "1"]
@@ -158,6 +177,10 @@ SMALL = ["--samples", "64", "--reps", "1"]
     [
         pytest.param(["run", "--seed", "-1", *SMALL], None, None, id="negative-seed"),
         pytest.param(["run", "--r", "nan", *SMALL], None, None, id="r-nan"),
+        pytest.param(["run", "--r", "356", *SMALL], None, None, id="r-356"),
+        pytest.param(["run", "--r", "1000", *SMALL], None, None, id="r-1000"),
+        pytest.param(["sweep", "--sweep-r", "0.5,1000", *SMALL], None, None,
+                     id="sweep-r-1000"),
         pytest.param(["run", "--gamma", "nan", *SMALL], None, None, id="gamma-nan"),
         pytest.param(["run", "--theta1", "nan", *SMALL], None, None, id="theta1-nan"),
         pytest.param(["sweep", "--sweep-r", "nan", *SMALL], None, None, id="sweep-r-nan"),

@@ -14,11 +14,11 @@ from lgwave.harness import (
     _tally,
     counterfactual_chunks,
     evaluate_context,
-    grid_counts,
     run_context,
     standard_contexts,
 )
-from lgwave.optics import OpticalParams, SourceParams, sample_hidden
+from lgwave.experiment import _shared_chunk_task
+from lgwave.optics import R_MAX, OpticalParams, SourceParams, compile_network, sample_hidden
 
 
 def plan(samples=1 << 14, reps=1, mode=MODE_INDEPENDENT, seed=0, r=0.3, gamma=2.0):
@@ -111,14 +111,14 @@ class TestRunContext:
 
 class TestCounterfactual:
     def test_d1_column_shared(self):
-        for d1, d2, d3 in counterfactual_chunks(plan(samples=1 << 12), 0):
+        for ((d1, d2, d3),) in counterfactual_chunks([plan(samples=1 << 12)], 0):
             # by construction one d1 per realization, one row per context
             assert d2.shape == d3.shape == (9, d1.shape[0])
 
     def test_counts_match_run_context_on_shared_streams(self):
         p = plan(samples=1 << 14, mode=MODE_SHARED)
         totals = [ContextCounts() for _ in STANDARD_CONTEXT_TABLE]
-        for d in counterfactual_chunks(p, 0):
+        for (d,) in counterfactual_chunks([p], 0):
             for tot, part in zip(totals, _tally(*d)):
                 tot.add(part)
         for ctx, expected in zip(p.contexts, totals):
@@ -178,7 +178,7 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("i", range(20))
     def test_counterfactual_detections(self, i):
         p = random_plan(i)
-        for c, (d1, d2, d3) in enumerate(counterfactual_chunks(p, 0)):
+        for c, ((d1, d2, d3),) in enumerate(counterfactual_chunks([p], 0)):
             h = sample_hidden(p.chunk_rng(SHARED_STREAM_KEY, 0, c), p.chunk_size(c))
             for j, ctx in enumerate(p.contexts):
                 e1, e2, e3 = evaluate_context(h, p.source, ctx, p.gamma)
@@ -200,24 +200,31 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("i", range(12))
     def test_grid_counts_match_one_point_calls(self, i):
-        # the kernel a sweep runs: one context per stream in independent-draws
-        # mode, all nine on the shared stream in shared-draws mode
+        # the tasks a sweep runs: the shared pass, all nine contexts on the
+        # shared stream, and run_context, one context per stream in
+        # independent-draws mode
         plans = random_grid(i)
         p = plans[0]
         ctx = p.contexts[i % 9]
-        if p.mode == MODE_SHARED:
-            key, contexts = SHARED_STREAM_KEY, p.contexts
-        else:
-            key, contexts = ctx.bits_int, [ctx]
-        chunks = range(p.n_chunks())
         for rep in range(p.reps):
-            fused = grid_counts(plans, key, rep, contexts, chunks)
-            assert len(fused) == len(plans)
-            for counts, q in zip(fused, plans):
-                assert counts == grid_counts([q], key, rep, contexts, chunks)[0]
+            for c in range(p.n_chunks()):
+                fused = _shared_chunk_task(plans, rep, c)
+                assert len(fused) == len(plans)
+                for acc, q in zip(fused, plans):
+                    assert acc.counts == _shared_chunk_task([q], rep, c)[0].counts
             assert run_context(plans, ctx, rep) == [
                 run_context([q], ctx, rep)[0] for q in plans
             ]
+
+
+class TestLargestSqueezing:
+    def test_every_detector_fires_without_overflow(self):
+        # at R_MAX every power is finite and far above gamma^2; an overflow
+        # would raise here, where RuntimeWarnings are errors
+        p = plan(samples=4099, r=R_MAX, mode=MODE_SHARED)
+        assert np.isfinite(compile_network(p.source, p.contexts)).all()
+        for ((d1, d2, d3),) in counterfactual_chunks([p], 0):
+            assert d1.all() and d2.all() and d3.all()
 
 
 class TestPlanValidation:

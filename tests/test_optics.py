@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lgwave.harness import ExperimentPlan
 from lgwave.optics import (
     NORMALS_PER_REALIZATION,
+    R_MAX,
     SIGMA,
     Context,
     HiddenState,
@@ -118,6 +119,12 @@ class TestSourceOutput:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             SourceParams(r=-0.1)
+
+    def test_r_above_bound_rejected(self):
+        SourceParams(r=R_MAX)
+        for r in (np.nextafter(R_MAX, np.inf), 356, 1000):
+            with pytest.raises(ValueError, match="squeezing strength"):
+                SourceParams(r=r)
 
 
 def ctx(b, t1=0.5, t2=0.75, t3=0.75, theta1=0.0, theta2=0.0):
