@@ -6,7 +6,9 @@ context with packed bits `k` uses the Philox generator seeded by
 SeedSequence([seed, k, rep, c]).  In shared-draw mode every context sees the
 same hidden states, obtained with the reserved stream key SHARED_STREAM_KEY.
 Streams depend on neither r nor gamma, so one draw of a chunk serves every
-(r, gamma) point of a sweep grid.
+(r, gamma) point of a sweep grid.  A chunk's generator is read in
+consecutive ROW_BLOCK slices, which give the same numbers, in the same
+order, as one draw of the whole chunk.
 Counts are plain integers accumulated chunk by chunk, so any parallel
 schedule that reduces them in a fixed order reproduces the serial result
 exactly.
@@ -37,11 +39,12 @@ from .optics import (
 
 CHUNK = 1 << 16
 
-# The detection kernel works through a chunk in blocks of ROW_BLOCK
-# realizations, which keeps its temporaries in cache, and multiplies stacks
-# of GEMM_ROWS-row matrices: at 64 x 28 x 76 every product stays below
-# OpenBLAS's single-thread cut-off (m*n*k < 262,144), so no BLAS threads
-# start beside the worker pool's.
+# The detection kernel draws and evaluates a chunk in blocks of ROW_BLOCK
+# realizations, read in order from the chunk's one generator.  That keeps the
+# draws and the temporaries in cache, and no chunk of normals is ever held.
+# It multiplies stacks of GEMM_ROWS-row matrices: at 64 x 28 x 76 every
+# product stays below OpenBLAS's single-thread cut-off (m*n*k < 262,144), so
+# no BLAS threads start beside the worker pool's.
 ROW_BLOCK = 2048
 GEMM_ROWS = 64
 
@@ -190,12 +193,15 @@ def _detections(
     heralding beam never touches the blockers.  d2 and d3 have shape (k, n),
     one contiguous row per context.
 
-    The network is compiled once per distinct source (compile_network); each
-    row block of a chunk is then one product per source with the packed
-    draws, squared, summed per detector and thresholded at each gamma paired
-    with that source.  evaluate_context stays the reference: the two round
-    differently, so they can only disagree on a power within rounding of
-    gamma**2."""
+    The network is compiled once per distinct source (compile_network).  The
+    chunk's generator is opened once and read one row block at a time: each
+    block's draws are sampled, then multiplied by each source's matrix,
+    squared, summed per detector and thresholded at each gamma paired with
+    that source.  Consecutive draws partition the stream, so the block
+    draws are the whole-chunk draw's rows bit for bit, and no chunk-sized
+    array of normals is held.  evaluate_context stays the reference: the two
+    round differently, so they can only disagree on a power within rounding
+    of gamma**2."""
     by_source: dict[SourceParams, list[tuple[int, float]]] = {}
     for i, p in enumerate(plans):
         by_source.setdefault(p.source, []).append((i, p.gamma * p.gamma))
@@ -203,12 +209,13 @@ def _detections(
     plan = plans[0]
     for c in chunks:
         n = plan.chunk_size(c)
-        h = sample_hidden(plan.chunk_rng(key, rep_index, c), n)
-        x = h.packed.reshape(n, -1).view(np.float64)
+        rng = plan.chunk_rng(key, rep_index, c)
         det = np.empty((len(plans), 1 + 2 * len(contexts), n), dtype=bool)
         for lo in range(0, n, ROW_BLOCK):
+            rows = min(ROW_BLOCK, n - lo)
+            x = sample_hidden(rng, rows).packed.reshape(rows, -1).view(np.float64)
             for m, points in networks:
-                amp = _transfer(x[lo : lo + ROW_BLOCK], m)
+                amp = _transfer(x, m)
                 parts = np.square(amp, out=amp).reshape(len(amp), -1, 4)
                 power = parts[..., 0] + parts[..., 1]
                 power += parts[..., 2] + parts[..., 3]

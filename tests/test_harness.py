@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,14 @@ from lgwave.harness import (
     standard_contexts,
 )
 from lgwave.experiment import _shared_chunk_task
-from lgwave.optics import R_MAX, OpticalParams, SourceParams, compile_network, sample_hidden
+from lgwave.optics import (
+    NORMALS_PER_REALIZATION,
+    R_MAX,
+    OpticalParams,
+    SourceParams,
+    compile_network,
+    sample_hidden,
+)
 
 
 def plan(samples=1 << 14, reps=1, mode=MODE_INDEPENDENT, seed=0, r=0.3, gamma=2.0):
@@ -215,6 +223,31 @@ class TestKernelMatchesReference:
             assert run_context(plans, ctx, rep) == [
                 run_context([q], ctx, rep)[0] for q in plans
             ]
+
+
+class TestPeakMemory:
+    # One chunk of normals, the array the kernel would hold if it drew a
+    # chunk at once instead of one row block at a time.
+    CHUNK_OF_NORMALS = CHUNK * NORMALS_PER_REALIZATION * 8
+
+    def traced_peak(self, task):
+        task()  # warm-up: first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            task()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_run_context_holds_no_chunk_of_normals(self):
+        p = plan(samples=2 * CHUNK)
+        peak = self.traced_peak(lambda: run_context([p], open_context(), 0))
+        assert peak < self.CHUNK_OF_NORMALS
+
+    def test_counterfactual_chunks_holds_no_chunk_of_normals(self):
+        p = plan(samples=2 * CHUNK, mode=MODE_SHARED)
+        peak = self.traced_peak(lambda: [None for _ in counterfactual_chunks([p], 0)])
+        assert peak < self.CHUNK_OF_NORMALS
 
 
 class TestLargestSqueezing:

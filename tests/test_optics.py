@@ -68,6 +68,17 @@ class TestSampleHidden:
         probe2 = g2.standard_normal()
         assert probe1 == probe2
 
+    @pytest.mark.parametrize("a", [1, 2047, 2048])
+    def test_consecutive_draws_partition_the_stream(self, a):
+        # Drawing a then b realizations from one generator gives the bytes
+        # of one draw of a + b: the kernel draws a chunk one row block at a
+        # time and relies on this.
+        b = 37
+        g = rng(6)
+        parts = [sample_hidden(g, a).packed, sample_hidden(g, b).packed]
+        whole = sample_hidden(rng(6), a + b).packed
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
     def test_single_realization_shape(self):
         h = sample_hidden(rng(5))
         assert h.z1.shape == (2,)
