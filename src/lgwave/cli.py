@@ -105,7 +105,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as e:
             raise InvalidConfig(f"cannot read config file: {e}") from e
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise InvalidConfig(f"config file is not valid JSON: {e}") from e
         if not isinstance(doc, dict):
             raise InvalidConfig(
@@ -124,8 +124,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
-    if cfg.samples < 1:
-        raise InvalidConfig(f"samples must be >= 1, got {cfg.samples}")
+    if "\0" in cfg.out:
+        raise InvalidConfig(f"out must not contain a NUL byte, got {cfg.out!r}")
     sweep = args.command == "sweep"
     if sweep and not (cfg.sweep_r and cfg.sweep_gamma):
         raise InvalidConfig("sweep grids must be nonempty")

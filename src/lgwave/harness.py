@@ -24,7 +24,6 @@ import numpy as np
 
 from .optics import (
     Context,
-    HiddenState,
     OpticalParams,
     SourceParams,
     compile_network,
@@ -109,7 +108,7 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("samples", 0), ("reps", 1), ("seed", 0)):
+        for name, minimum in (("samples", 1), ("reps", 1), ("seed", 0)):
             value = getattr(self, name)
             integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             if not integral or value < minimum:
@@ -137,7 +136,7 @@ class ExperimentPlan:
 
 
 def evaluate_context(
-    h: HiddenState, src: SourceParams, ctx: Context, gamma: float
+    h: np.ndarray, src: SourceParams, ctx: Context, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full pipeline source -> three stages -> threshold detection.
 
@@ -213,7 +212,7 @@ def _detections(
         det = np.empty((len(plans), 1 + 2 * len(contexts), n), dtype=bool)
         for lo in range(0, n, ROW_BLOCK):
             rows = min(ROW_BLOCK, n - lo)
-            x = sample_hidden(rng, rows).packed.reshape(rows, -1).view(np.float64)
+            x = sample_hidden(rng, rows)
             for m, points in networks:
                 amp = _transfer(x, m)
                 parts = np.square(amp, out=amp).reshape(len(amp), -1, 4)

@@ -25,11 +25,12 @@ SIGMA = 1.0 / np.sqrt(2.0)
 # sample_hidden consumes exactly this many standard normal draws per
 # realization: 7 vectors x 2 components x (real, imag).
 NORMALS_PER_REALIZATION = 28
+_VECTORS = ("z1", "z2", "z3", "zp1", "zp2", "zp3", "zp4")
 
 # Largest accepted squeezing strength: below it every detector power stays
 # a finite float for any draw.  numpy's ziggurat standard_normal returns
 # |u| < 14: its tail draw is 3.654 + E / 3.654 with E = -log(1 - U) <= 53 ln 2
-# for a 53-bit uniform U.  So the 28 reals x of a packed hidden state have
+# for a 53-bit uniform U.  So the 28 reals x of a hidden-state row have
 # |x|^2 < 28 (14 SIGMA)^2 = 2744 < e^8.  A detector's power is |x M|^2 for
 # its 28 x 4 block M of compile_network, and |x M|^2 <= |x|^2 |M|_F^2, where
 # |M|_F^2 = 2 E[power] because each real of x has variance 1/2.  The arms
@@ -53,27 +54,6 @@ def require_finite(name: str, value: float) -> None:
         ok = False
     if not ok:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
-
-
-@dataclass
-class HiddenState:
-    """One realization (or batch) of the seven hidden noise vectors.
-
-    z1, z2 drive the squeezed source, z3 is the vacuum port of the first
-    beam splitter, and zp1..zp4 are the vacuum modes injected by beam
-    blockers BB1..BB4.  Each field has shape (..., 2), complex.  States from
-    sample_hidden also carry `packed`, the (..., 7, 2) complex array the
-    seven fields are views of.
-    """
-
-    z1: np.ndarray
-    z2: np.ndarray
-    z3: np.ndarray
-    zp1: np.ndarray
-    zp2: np.ndarray
-    zp3: np.ndarray
-    zp4: np.ndarray
-    packed: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -132,20 +112,24 @@ class Context:
         return b1 * 8 + b2 * 4 + b3 * 2 + b4
 
 
-def sample_hidden(rng: np.random.Generator, n: int | None = None) -> HiddenState:
-    """Draw i.i.d. standard complex Gaussian hidden states from `rng`.
+def sample_hidden(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n i.i.d. hidden states from `rng`, one (n, 28) real row each.
 
-    Consumes exactly NORMALS_PER_REALIZATION standard normals per realization,
-    in a fixed (vector, component, real/imag) order, so that chunked streams
-    partition deterministically.  With n=None returns a single realization
-    (vectors of shape (2,)); otherwise a batch of shape (n, 2).
+    A row packs the seven standard complex Gaussian noise vectors (vector,
+    H/V component, real/imag): z1, z2 drive the squeezed source, z3 is the
+    vacuum port of the first beam splitter, and zp1..zp4 are the vacuum
+    modes injected by beam blockers BB1..BB4.  Each real is a standard
+    normal times SIGMA, read in row order, so consecutive draws partition
+    the stream deterministically.
     """
-    shape = (7, 2, 2) if n is None else (n, 7, 2, 2)
-    u = rng.standard_normal(shape)
-    z = u.view(np.complex128)[..., 0]  # (re, im) pairs as complex, no copy
-    z *= SIGMA
-    vecs = np.moveaxis(z, -2, 0)  # -> (7, ..., 2)
-    return HiddenState(*vecs, packed=z)
+    x = rng.standard_normal((n, NORMALS_PER_REALIZATION))
+    x *= SIGMA
+    return x
+
+
+def _z(h: np.ndarray, name: str) -> np.ndarray:
+    """Complex view, shape (..., 2), of noise vector `name` of rows h."""
+    return h.view(np.complex128).reshape(*h.shape[:-1], 7, 2)[..., _VECTORS.index(name), :]
 
 
 def norm(a: np.ndarray) -> np.ndarray:
@@ -153,7 +137,7 @@ def norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
 
 
-def source_output(h: HiddenState, p: SourceParams):
+def source_output(h: np.ndarray, p: SourceParams):
     """Two-mode squeezed twin beams plus the vacuum mode of the unused port.
 
     a1 = sigma (z1 cosh r + z2* sinh r), a2 = sigma (z2 cosh r + z1* sinh r),
@@ -161,13 +145,14 @@ def source_output(h: HiddenState, p: SourceParams):
     """
     ch = np.cosh(p.r)
     sh = np.sinh(p.r)
-    a1 = SIGMA * (h.z1 * ch + np.conj(h.z2) * sh)
-    a2 = SIGMA * (h.z2 * ch + np.conj(h.z1) * sh)
-    a3 = SIGMA * h.z3
+    z1, z2 = _z(h, "z1"), _z(h, "z2")
+    a1 = SIGMA * (z1 * ch + np.conj(z2) * sh)
+    a2 = SIGMA * (z2 * ch + np.conj(z1) * sh)
+    a3 = SIGMA * _z(h, "z3")
     return a1, a2, a3
 
 
-def stage1(a2: np.ndarray, a3: np.ndarray, h: HiddenState, ctx: Context):
+def stage1(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, ctx: Context):
     """First beam splitter, phase delay theta1 and blockers BB1/BB2."""
     b1, b2 = ctx.b[0], ctx.b[1]
     o = ctx.optics
@@ -176,15 +161,15 @@ def stage1(a2: np.ndarray, a3: np.ndarray, h: HiddenState, ctx: Context):
     if b2:
         a2_out = sq_r * a2 - sq_t * a3
     else:
-        a2_out = SIGMA * h.zp2
+        a2_out = SIGMA * _z(h, "zp2")
     if b1:
         a3_out = np.exp(1j * o.theta1) * (sq_t * a2 + sq_r * a3)
     else:
-        a3_out = SIGMA * h.zp1
+        a3_out = SIGMA * _z(h, "zp1")
     return a2_out, a3_out
 
 
-def stage2(a2: np.ndarray, a3: np.ndarray, h: HiddenState, ctx: Context):
+def stage2(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, ctx: Context):
     """Second beam splitter, phase delay theta2 and blockers BB3/BB4."""
     b3, b4 = ctx.b[2], ctx.b[3]
     o = ctx.optics
@@ -193,11 +178,11 @@ def stage2(a2: np.ndarray, a3: np.ndarray, h: HiddenState, ctx: Context):
     if b3:
         a2_out = np.exp(1j * o.theta2) * (sq_r * a2 - sq_t * a3)
     else:
-        a2_out = SIGMA * h.zp3
+        a2_out = SIGMA * _z(h, "zp3")
     if b4:
         a3_out = sq_t * a2 + sq_r * a3
     else:
-        a3_out = SIGMA * h.zp4
+        a3_out = SIGMA * _z(h, "zp4")
     return a2_out, a3_out
 
 
@@ -221,8 +206,7 @@ def compile_network(src: SourceParams, contexts: list[Context]) -> np.ndarray:
     (vector z1..zp4, component H/V, re/im).  Columns hold the (H re, H im,
     V re, V im) of D1, then of D2 and D3 for each context in turn.
     """
-    units = np.eye(NORMALS_PER_REALIZATION).view(np.complex128).reshape(-1, 7, 2)
-    h = HiddenState(*np.moveaxis(units, -2, 0))
+    h = np.eye(NORMALS_PER_REALIZATION)
     a1, a2, a3 = source_output(h, src)
     outputs = [a1]
     for ctx in contexts:

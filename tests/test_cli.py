@@ -6,7 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgwave.cli import RunConfig, main
@@ -193,6 +193,8 @@ SMALL = ["--samples", "64", "--reps", "1"]
                      id="config-samples-string"),
         pytest.param(["run", "--reps", "1"], '{"samples": 2048.5}', None,
                      id="config-samples-float"),
+        pytest.param(["run", "--reps", "1"], "[" * 200_000 + "]" * 200_000, None,
+                     id="config-deeply-nested"),
         pytest.param(["run", *SMALL], None, "abc", id="workers-not-integer"),
         pytest.param(["run", *SMALL], None, "0", id="workers-zero"),
         pytest.param(["run", *SMALL], None, "-3", id="workers-negative"),
@@ -228,6 +230,7 @@ CONFIG_DOCS = (
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(doc=CONFIG_DOCS)
+@example(doc={"out": "o\x00x"})
 def test_any_config_document_exits_0_or_2(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"

@@ -11,9 +11,9 @@ from lgwave.optics import (
     R_MAX,
     SIGMA,
     Context,
-    HiddenState,
     OpticalParams,
     SourceParams,
+    _z,
     detect,
     norm,
     sample_hidden,
@@ -28,16 +28,21 @@ def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def make_state(**kwargs):
-    zeros = {k: np.zeros(2, dtype=complex) for k in ("z1", "z2", "z3", "zp1", "zp2", "zp3", "zp4")}
-    zeros.update(kwargs)
-    return HiddenState(**zeros)
+VECTORS = ("z1", "z2", "z3", "zp1", "zp2", "zp3", "zp4")
+
+
+def make_state(**vectors):
+    """One hidden-state row: the given noise vectors, every other one zero."""
+    h = np.zeros(NORMALS_PER_REALIZATION)
+    for name, v in vectors.items():
+        _z(h, name)[:] = v
+    return h
 
 
 class TestSampleHidden:
     def test_component_moments(self):
         h = sample_hidden(rng(1), 100_000)
-        z = np.concatenate([h.z1, h.z2, h.z3, h.zp1, h.zp2, h.zp3, h.zp4])
+        z = np.concatenate([_z(h, f) for f in VECTORS])
         assert abs(z.real.var() - 0.5) < 0.01
         assert abs(z.imag.var() - 0.5) < 0.01
         assert 0.99 < np.mean(np.abs(z) ** 2) < 1.01
@@ -47,14 +52,14 @@ class TestSampleHidden:
         n = 100_000
         h1 = sample_hidden(g, n)
         h2 = sample_hidden(g, n)
-        corr = np.mean(h1.z1 * np.conj(h2.z1))
+        corr = np.mean(_z(h1, "z1") * np.conj(_z(h2, "z1")))
         assert abs(corr) < 3 / np.sqrt(n)
 
     def test_reproducible(self):
         h1 = sample_hidden(rng(3), 100)
         h2 = sample_hidden(rng(3), 100)
-        for f in ("z1", "z2", "z3", "zp1", "zp2", "zp3", "zp4"):
-            assert np.array_equal(getattr(h1, f), getattr(h2, f))
+        assert h1.shape == (100, NORMALS_PER_REALIZATION)
+        assert np.array_equal(h1, h2)
 
     def test_fixed_draw_count_per_realization(self):
         # a batch of n must consume exactly n * NORMALS_PER_REALIZATION draws
@@ -75,25 +80,21 @@ class TestSampleHidden:
         # time and relies on this.
         b = 37
         g = rng(6)
-        parts = [sample_hidden(g, a).packed, sample_hidden(g, b).packed]
-        whole = sample_hidden(rng(6), a + b).packed
+        parts = [sample_hidden(g, a), sample_hidden(g, b)]
+        whole = sample_hidden(rng(6), a + b)
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
-    def test_single_realization_shape(self):
-        h = sample_hidden(rng(5))
-        assert h.z1.shape == (2,)
-
-    @pytest.mark.parametrize("n", [None, 1, 1000])
+    @pytest.mark.parametrize("n", [1, 1000])
     def test_packed_draw_matches_complex_assembly(self, n):
-        # The packed array is the reference assembly (re + 1j*im) * SIGMA
-        # bit for bit, and the seven fields are views of it.
-        u = rng(9).standard_normal((7, 2, 2) if n is None else (n, 7, 2, 2))
+        # The rows are the reference assembly (re + 1j*im) * SIGMA bit for
+        # bit, and each noise vector is a view of them.
+        u = rng(9).standard_normal((n, 7, 2, 2))
         expected = (u[..., 0] + 1j * u[..., 1]) * SIGMA
         h = sample_hidden(rng(9), n)
-        assert h.packed.tobytes() == expected.tobytes()
-        for j, f in enumerate(("z1", "z2", "z3", "zp1", "zp2", "zp3", "zp4")):
-            assert np.shares_memory(getattr(h, f), h.packed)
-            assert np.array_equal(getattr(h, f), expected[..., j, :])
+        assert h.tobytes() == expected.tobytes()
+        for j, f in enumerate(VECTORS):
+            assert np.shares_memory(_z(h, f), h)
+            assert np.array_equal(_z(h, f), expected[..., j, :])
 
 
 class TestSourceOutput:
@@ -152,11 +153,12 @@ class TestStages:
         np.testing.assert_allclose(out3, [np.sqrt(0.5), 0])
 
     def test_stage1_blocked_arm_is_vacuum(self):
-        h = make_state(zp2=np.array([2.0, -1j]))
+        zp2 = np.array([2.0, -1j])
+        h = make_state(zp2=zp2)
         a2 = np.array([5.0, 5.0], dtype=complex)
         a3 = np.array([-3.0, 1.0], dtype=complex)
         out2, _ = stage1(a2, a3, h, ctx((1, 0, 1, 1)))
-        np.testing.assert_allclose(out2, SIGMA * h.zp2)
+        np.testing.assert_allclose(out2, SIGMA * zp2)
 
     def test_stage2_open(self):
         h = make_state()
@@ -167,11 +169,12 @@ class TestStages:
         np.testing.assert_allclose(out3, [np.sqrt(0.75), 0])
 
     def test_stage2_blocked_arm_is_vacuum(self):
-        h = make_state(zp4=np.array([1.0, 1.0], dtype=complex))
+        zp4 = np.array([1.0, 1.0], dtype=complex)
+        h = make_state(zp4=zp4)
         a2 = np.array([5.0, 5.0], dtype=complex)
         a3 = np.array([-3.0, 1.0], dtype=complex)
         _, out3 = stage2(a2, a3, h, ctx((1, 1, 1, 0)))
-        np.testing.assert_allclose(out3, SIGMA * h.zp4)
+        np.testing.assert_allclose(out3, SIGMA * zp4)
 
     def test_stage3_full_transmission(self):
         a2 = np.array([1.0, 2j])
