@@ -102,9 +102,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         try:
-            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as e:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, ValueError) as e:
             raise InvalidConfig(f"cannot read config file: {e}") from e
+        try:
+            doc = json.loads(text)
         except (ValueError, RecursionError) as e:
             raise InvalidConfig(f"config file is not valid JSON: {e}") from e
         if not isinstance(doc, dict):

@@ -9,6 +9,16 @@ Streams depend on neither r nor gamma, so one draw of a chunk serves every
 (r, gamma) point of a sweep grid.  A chunk's generator is read in
 consecutive ROW_BLOCK slices, which give the same numbers, in the same
 order, as one draw of the whole chunk.
+The detection kernel (_detections) has two paths, picked by the number of
+contexts evaluated per draw.  A single-context stream (run_context)
+evaluates every row.  The shared pass (counterfactual_chunks, nine contexts
+per draw) computes the herald on every row and evaluates the exits only on
+the rows heralded at some grid point: every count is conditioned on the
+herald, which few rows pass.  Both decide each detector bit for bit alike,
+which rests on two facts about the BLAS that tests/test_harness.py pins
+(TestBlasFacts): an 8-column herald product rounds like the full product's
+first four columns, and gathered rows padded to GEMM_ROWS round like the
+same rows of the full product.
 Counts are plain integers accumulated chunk by chunk, so any parallel
 schedule that reduces them in a fixed order reproduces the serial result
 exactly.
@@ -23,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optics import (
+    NORMALS_PER_REALIZATION,
     Context,
     OpticalParams,
     SourceParams,
@@ -152,11 +163,13 @@ def evaluate_context(
     return detect(a1, gamma), detect(a2, gamma), detect(a3, gamma)
 
 
-def _tally(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> list[ContextCounts]:
-    """Counts of each context on a chunk of n realizations.
+def _tally(n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> list[ContextCounts]:
+    """Counts of each context on a chunk of n_total realizations, from the
+    detections on a subset of its rows that holds every heralded row.
 
     d1 has shape (n,); d2 and d3 have shape (n,) for one context or (k, n)
-    for k contexts evaluated on the same draws, one context per row.
+    for k contexts evaluated on the same draws, one context per row.  Every
+    count is gated on d1, so rows left out could not add to any of them.
     """
     d2, d3 = np.atleast_2d(d2, d3)
     coincident = d1 & d2
@@ -165,7 +178,7 @@ def _tally(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> list[ContextCounts
     minus = np.count_nonzero(d1 & ~d2 & d3, axis=1)
     double = np.count_nonzero(coincident & d3, axis=1)
     return [
-        ContextCounts(n_herald, int(p), int(m), int(dd), n_total=d1.shape[0])
+        ContextCounts(n_herald, int(p), int(m), int(dd), n_total=n_total)
         for p, m, dd in zip(plus, minus, double)
     ]
 
@@ -182,45 +195,99 @@ def _transfer(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _powers(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Power at each detector of m, one row per row of x: the four squared
+    reals of each amplitude summed as (H re + H im) + (V re + V im)."""
+    amp = _transfer(x, m)
+    parts = np.square(amp, out=amp).reshape(len(amp), m.shape[1] // 4, 4)
+    power = parts[..., 0] + parts[..., 1]
+    power += parts[..., 2] + parts[..., 3]
+    return power
+
+
+def _gather(x: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """x[rows] copied into buf and zero-padded to a multiple of GEMM_ROWS
+    rows, so that _transfer multiplies them only in GEMM_ROWS-row products."""
+    n = len(rows)
+    np.take(x, rows, axis=0, out=buf[:n])
+    padded = -(-n // GEMM_ROWS) * GEMM_ROWS
+    buf[n:padded] = 0.0
+    return buf[:padded]
+
+
+# The herald D1 is columns 0-3 of compile_network's matrix.  Its product is
+# taken with the first HERALD_COLUMNS columns, not four: OpenBLAS rounds an
+# 8-column product like the full one's first columns, a 4-column one not.
+HERALD_COLUMNS = 8
+
+
 def _detections(
     plans: list[ExperimentPlan], key: int, rep_index: int, contexts: list[Context], chunks: range
-) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Per chunk of stream `key`, the (d1, d2, d3) of every grid point in
-    `plans`, every context evaluated on the chunk's one draw.  The plans
+) -> Iterator[list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
+    """Per chunk of stream `key`, one (n_total, d1, d2, d3) per grid point
+    in `plans`, every context evaluated on the chunk's one draw.  The plans
     differ at most in source and gamma; the stream and the chunking are
-    plans[0]'s.  d1 has shape (n,) and is shared by the contexts: the
-    heralding beam never touches the blockers.  d2 and d3 have shape (k, n),
-    one contiguous row per context.
+    plans[0]'s.  n_total is the chunk's row count; d1, d2 and d3 are the
+    detections on a set of its rows, in stream order, that holds every row
+    heralded at that point.  d1 has shape (n,) and is shared by the
+    contexts: the heralding beam never touches the blockers.  d2 and d3
+    have shape (k, n), one row per context.
 
     The network is compiled once per distinct source (compile_network).  The
-    chunk's generator is opened once and read one row block at a time: each
-    block's draws are sampled, then multiplied by each source's matrix,
-    squared, summed per detector and thresholded at each gamma paired with
-    that source.  Consecutive draws partition the stream, so the block
-    draws are the whole-chunk draw's rows bit for bit, and no chunk-sized
-    array of normals is held.  evaluate_context stays the reference: the two
-    round differently, so they can only disagree on a power within rounding
-    of gamma**2."""
+    chunk's generator is opened once and read one row block at a time:
+    consecutive draws partition the stream, so the block draws are the
+    whole-chunk draw's rows bit for bit, and no chunk-sized array of
+    normals is held.  Each block is evaluated on one of two paths, picked
+    by the number of contexts per draw:
+
+    - One context (run_context): every row is multiplied by the source's
+      matrix, squared, summed per detector and thresholded at each gamma
+      paired with that source; every row is returned.
+    - Several contexts (the shared pass): only a row heralded at the
+      source's lowest gamma can count, and few are.  The herald power of
+      every row comes from its product with the matrix's first
+      HERALD_COLUMNS columns; the rows above the lowest gamma**2 are
+      gathered, padded (_gather) and only they are multiplied by the whole
+      matrix and thresholded.  With one context the gather costs more than
+      the rows it skips.
+
+    The two paths decide every detector alike, bit for bit, as long as the
+    BLAS rounds two products alike: the herald-tile product like the whole
+    matrix's first four columns, and a padded gathered row like the same
+    row of the whole block's product (tests/test_harness.py::TestBlasFacts
+    pins both).  A row multiplied alone rounds differently, hence the
+    padding; the one exception is a block that ends in a single row after
+    its GEMM_ROWS-row products, which the all-rows path multiplies alone.
+    evaluate_context stays the reference: it rounds differently from both,
+    so they can only disagree on a power within rounding of gamma**2."""
     by_source: dict[SourceParams, list[tuple[int, float]]] = {}
     for i, p in enumerate(plans):
         by_source.setdefault(p.source, []).append((i, p.gamma * p.gamma))
-    networks = [(compile_network(src, contexts), points) for src, points in by_source.items()]
+    networks = []
+    for src, points in by_source.items():
+        m = compile_network(src, contexts)
+        lowest = min(threshold for _, threshold in points)
+        networks.append((m, np.ascontiguousarray(m[:, :HERALD_COLUMNS]), lowest, points))
+    gather = len(contexts) > 1
+    buf = np.empty((ROW_BLOCK, NORMALS_PER_REALIZATION)) if gather else None
     plan = plans[0]
     for c in chunks:
         n = plan.chunk_size(c)
         rng = plan.chunk_rng(key, rep_index, c)
         det = np.empty((len(plans), 1 + 2 * len(contexts), n), dtype=bool)
+        filled = [0] * len(plans)
         for lo in range(0, n, ROW_BLOCK):
-            rows = min(ROW_BLOCK, n - lo)
-            x = sample_hidden(rng, rows)
-            for m, points in networks:
-                amp = _transfer(x, m)
-                parts = np.square(amp, out=amp).reshape(len(amp), -1, 4)
-                power = parts[..., 0] + parts[..., 1]
-                power += parts[..., 2] + parts[..., 3]
+            x = sample_hidden(rng, min(ROW_BLOCK, n - lo))
+            for m, m_herald, lowest, points in networks:
+                rows, y = len(x), x
+                if gather:
+                    heralded = np.flatnonzero(_powers(x, m_herald)[:, 0] > lowest)
+                    rows, y = len(heralded), _gather(x, heralded, buf)
+                power = _powers(y, m)[:rows].T
                 for i, threshold in points:
-                    np.greater(power.T, threshold, out=det[i, :, lo : lo + ROW_BLOCK])
-        yield [(d[0], d[1::2], d[2::2]) for d in det]
+                    np.greater(power, threshold, out=det[i, :, filled[i] : filled[i] + rows])
+                    filled[i] += rows
+        yield [(n, d[0, :f], d[1::2, :f], d[2::2, :f]) for d, f in zip(det, filled)]
 
 
 def run_context(plans: list[ExperimentPlan], ctx: Context, rep_index: int) -> list[ContextCounts]:

@@ -139,9 +139,11 @@ class EfficiencyAccumulator:
     n_lambda: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
     n_sym_diff: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.int64))
 
-    def update(self, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> None:
-        """Add one chunk: d1 of shape (n,), d2 and d3 of shape (9, n)."""
-        for tot, part in zip(self.counts, _tally(d1, d2, d3)):
+    def update(self, n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> None:
+        """Add one chunk of n_total realizations: d1 of shape (n,), d2 and d3
+        of shape (9, n), on a subset of its rows that holds every heralded
+        row.  Every count and Lambda set is gated on d1."""
+        for tot, part in zip(self.counts, _tally(n_total, d1, d2, d3)):
             tot.add(part)
         valid = d1 & (d2 ^ d3)  # E+(b) | E-(b), one row per context
         lam_t3 = valid[OPEN]

@@ -195,6 +195,7 @@ SMALL = ["--samples", "64", "--reps", "1"]
                      id="config-samples-float"),
         pytest.param(["run", "--reps", "1"], "[" * 200_000 + "]" * 200_000, None,
                      id="config-deeply-nested"),
+        pytest.param(["oracle", "--config", "a\x00b"], None, None, id="config-path-nul"),
         pytest.param(["run", *SMALL], None, "abc", id="workers-not-integer"),
         pytest.param(["run", *SMALL], None, "0", id="workers-zero"),
         pytest.param(["run", *SMALL], None, "-3", id="workers-negative"),
@@ -212,6 +213,13 @@ def test_invalid_input_exits_2(argv, config, workers, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert "invalid-config" in err
     assert "Traceback" not in err
+
+
+def test_unopenable_config_path_is_not_blamed_on_json(capsys):
+    assert run_cli(["oracle", "--config", "a\x00b"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err
+    assert "not valid JSON" not in err
 
 
 # Arbitrary JSON, plus in-range numbers and valid modes so valid configs occur too.

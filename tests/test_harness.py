@@ -6,13 +6,18 @@ import pytest
 
 from lgwave.harness import (
     CHUNK,
+    GEMM_ROWS,
+    HERALD_COLUMNS,
     MODE_INDEPENDENT,
     MODE_SHARED,
+    ROW_BLOCK,
     SHARED_STREAM_KEY,
     STANDARD_CONTEXT_TABLE,
     ContextCounts,
     ExperimentPlan,
+    _gather,
     _tally,
+    _transfer,
     counterfactual_chunks,
     evaluate_context,
     run_context,
@@ -115,9 +120,16 @@ class TestRunContext:
 
 class TestCounterfactual:
     def test_d1_column_shared(self):
-        for ((d1, d2, d3),) in counterfactual_chunks([plan(samples=1 << 12)], 0):
-            # by construction one d1 per realization, one row per context
+        # one d1 per returned realization, one row per context; the returned
+        # rows are some of the chunk's, and hold all of its heralds
+        p = plan(samples=1 << 12)
+        for c, ((n, d1, d2, d3),) in enumerate(counterfactual_chunks([p], 0)):
+            assert n == p.chunk_size(c)
             assert d2.shape == d3.shape == (9, d1.shape[0])
+            assert d1.shape[0] <= n
+            h = sample_hidden(p.chunk_rng(SHARED_STREAM_KEY, 0, c), n)
+            e1, _, _ = evaluate_context(h, p.source, open_context(), p.gamma)
+            assert np.count_nonzero(d1) == np.count_nonzero(e1)
 
     def test_counts_match_run_context_on_shared_streams(self):
         p = plan(samples=1 << 14, mode=MODE_SHARED)
@@ -175,20 +187,41 @@ def random_grid(i):
     return [replace(base, source=SourceParams(r=r), gamma=gamma) for r, gamma in points]
 
 
+# The shared pass's differential cases: random_plan's 20 draws alone, then
+# gamma = 0 (every row heralded) and 1e6 (none), sizes whose final block
+# leaves one row after its GEMM_ROWS-row products, and three of random_grid's
+# grids, where a source's lowest gamma gathers rows its other points do not
+# herald.
+SHARED_PASS_CASES = {
+    **{str(i): [random_plan(i)] for i in range(20)},
+    "gamma-0": [replace(random_plan(20), gamma=0.0)],
+    "gamma-1e6": [replace(random_plan(23), gamma=1e6, samples=CHUNK + 5)],
+    "samples-4097": [replace(random_plan(21), samples=4097)],
+    "samples-chunk+65": [replace(random_plan(22), samples=CHUNK + 65)],
+    **{f"grid-{i}": random_grid(i) for i in (2, 3, 4)},
+}
+
+
 class TestKernelMatchesReference:
     """The compiled kernel behind run_context and counterfactual_chunks
     decides every detector exactly as evaluate_context does on the same draw."""
 
-    @pytest.mark.parametrize("i", range(20))
-    def test_counterfactual_detections(self, i):
-        p = random_plan(i)
-        for c, ((d1, d2, d3),) in enumerate(counterfactual_chunks([p], 0)):
+    @pytest.mark.parametrize("case", list(SHARED_PASS_CASES))
+    def test_counterfactual_detections(self, case):
+        # Per grid point the shared pass returns some of a chunk's rows, in
+        # stream order: every row evaluate_context heralds, with equal d2 and
+        # d3, and others only with d1 false (so the herald counts agree).
+        plans = SHARED_PASS_CASES[case]
+        p = plans[0]
+        for c, dets in enumerate(counterfactual_chunks(plans, 0)):
             h = sample_hidden(p.chunk_rng(SHARED_STREAM_KEY, 0, c), p.chunk_size(c))
-            for j, ctx in enumerate(p.contexts):
-                e1, e2, e3 = evaluate_context(h, p.source, ctx, p.gamma)
-                assert np.array_equal(d1, e1)
-                assert np.array_equal(d2[j], e2)
-                assert np.array_equal(d3[j], e3)
+            for q, (n, d1, d2, d3) in zip(plans, dets):
+                assert n == len(h) >= len(d1)
+                for j, ctx in enumerate(q.contexts):
+                    e1, e2, e3 = evaluate_context(h, q.source, ctx, q.gamma)
+                    assert np.count_nonzero(d1) == np.count_nonzero(e1)
+                    assert np.array_equal(d2[j, d1], e2[e1])
+                    assert np.array_equal(d3[j, d1], e3[e1])
 
     @pytest.mark.parametrize("i", range(20))
     def test_run_context_counts(self, i):
@@ -198,7 +231,7 @@ class TestKernelMatchesReference:
         expected = ContextCounts()
         for c in range(p.n_chunks()):
             h = sample_hidden(p.chunk_rng(key, 0, c), p.chunk_size(c))
-            (counts,) = _tally(*evaluate_context(h, p.source, ctx, p.gamma))
+            (counts,) = _tally(len(h), *evaluate_context(h, p.source, ctx, p.gamma))
             expected.add(counts)
         assert run_context([p], ctx, 0) == [expected]
 
@@ -252,8 +285,41 @@ class TestLargestSqueezing:
         # would raise here, where RuntimeWarnings are errors
         p = plan(samples=4099, r=R_MAX, mode=MODE_SHARED)
         assert np.isfinite(compile_network(p.source, p.contexts)).all()
-        for ((d1, d2, d3),) in counterfactual_chunks([p], 0):
-            assert d1.all() and d2.all() and d3.all()
+        for ((n, d1, d2, d3),) in counterfactual_chunks([p], 0):
+            assert len(d1) == n and d1.all() and d2.all() and d3.all()
+
+
+class TestBlasFacts:
+    """The two products whose rounding the shared pass relies on to decide
+    every detector as the all-rows product does (harness._detections).  If
+    a BLAS upgrade breaks one, this names the cause before the golden
+    files fail."""
+
+    NETWORKS = {r: compile_network(SourceParams(r=r), standard_contexts(OpticalParams()))
+                for r in (0.0, 0.3, 0.9)}
+
+    def blocks(self, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        return rng, [sample_hidden(rng, ROW_BLOCK) for _ in range(4)]
+
+    @pytest.mark.parametrize("r", NETWORKS)
+    def test_herald_tile_rounds_like_full_product(self, r):
+        m = self.NETWORKS[r]
+        tile = np.ascontiguousarray(m[:, :HERALD_COLUMNS])
+        for x in self.blocks(1)[1]:
+            assert np.array_equal(_transfer(x, tile)[:, :4], _transfer(x, m)[:, :4])
+
+    @pytest.mark.parametrize("r", NETWORKS)
+    @pytest.mark.parametrize("k", [1, 2, 5, 63, 64, 65, 130])
+    def test_padded_gather_rounds_like_full_product(self, r, k):
+        m = self.NETWORKS[r]
+        rng, blocks = self.blocks(2)
+        buf = np.empty((ROW_BLOCK, NORMALS_PER_REALIZATION))
+        for x in blocks:
+            rows = np.sort(rng.choice(ROW_BLOCK, k, replace=False))
+            y = _gather(x, rows, buf)
+            assert len(y) % GEMM_ROWS == 0
+            assert np.array_equal(_transfer(y, m)[:k], _transfer(x, m)[rows])
 
 
 class TestPlanValidation:
