@@ -114,7 +114,7 @@ class TestRun:
         assert run_cli(["run", "--config", str(cfg)]) == 2
         assert "invalid-config" in capsys.readouterr().err
 
-    def test_golden_counts(self, tmp_path):
+    def test_golden_counts(self, tmp_path, monkeypatch):
         # frozen tiny runs and sweeps, one per draw mode: (argv, output, golden file)
         run = ["run", "--samples", "1024", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
         sweep = ["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
@@ -125,11 +125,16 @@ class TestRun:
             (run + shared, "counts.csv", "golden_counts_shared.csv"),
             (sweep, "sweep.csv", "golden_sweep_independent.csv"),
             (sweep + shared, "sweep.csv", "golden_sweep_shared.csv"),
+            (run, "summary.json", "golden_summary.json"),
+            (run + shared, "summary.json", "golden_summary_shared.json"),
         ]
-        for i, (argv, output, golden) in enumerate(cases):
-            out = tmp_path / str(i)
-            assert run_cli([*argv, "--out", str(out)]) == 0
-            assert (out / output).read_bytes() == (DATA / golden).read_bytes(), golden
+        # a relative --out named after the golden file, which summary.json
+        # records as config.out
+        monkeypatch.chdir(tmp_path)
+        for argv, output, golden in cases:
+            out = Path(golden).stem
+            assert run_cli([*argv, "--out", out]) == 0
+            assert (tmp_path / out / output).read_bytes() == (DATA / golden).read_bytes(), golden
 
 
 class TestSweep:
