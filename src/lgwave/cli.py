@@ -16,9 +16,10 @@ from pathlib import Path
 from .experiment import InvariantViolation, default_workers, run_experiment, run_kw_only
 from .stats import NoHeralds, ZeroCoincidences
 from .harness import (
+    CONTEXT_BITS,
+    COUNT_COLUMNS,
     MODE_INDEPENDENT,
     MODE_SHARED,
-    STANDARD_CONTEXT_TABLE,
     ExperimentPlan,
 )
 from .optics import OpticalParams, SourceParams
@@ -155,13 +156,10 @@ def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path
     )
 
     csv_path = out_dir / "counts.csv"
-    lines = ["rep,context_bits,n_total,n_herald,n_plus,n_minus,n_double"]
+    lines = [",".join(("rep", "context_bits", *COUNT_COLUMNS))]
     for rep, r in enumerate(result.reps):
-        for (bits, _, _), c in zip(STANDARD_CONTEXT_TABLE, r.counts):
-            bstr = "".join(map(str, bits))
-            lines.append(
-                f"{rep},{bstr},{c.n_total},{c.n_herald},{c.n_plus},{c.n_minus},{c.n_double}"
-            )
+        for bits, row in zip(CONTEXT_BITS, r.counts.tolist()):
+            lines.append(",".join(map(str, (rep, bits, *row))))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return json_path, csv_path
 

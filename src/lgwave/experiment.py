@@ -17,24 +17,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .harness import (
+    CONTEXT_BITS,
+    COUNT_COLUMNS,
     MODE_SHARED,
     STANDARD_CONTEXT_TABLE,
-    T1T2T3_MM,
-    T1T2T3_MP,
-    T1T2T3_PM,
-    T1T2T3_PP,
     T1T3_MINUS,
     T1T3_PLUS,
     T2T3_MINUS,
     T2T3_PLUS,
-    ContextCounts,
     ExperimentPlan,
     counterfactual_chunks,
     run_context,
 )
 from .stats import (
-    MINUS,
-    PLUS,
     EfficiencyAccumulator,
     ZeroCoincidences,
     correlation,
@@ -69,10 +64,10 @@ def default_workers() -> int:
 
 @dataclass
 class RepResult:
-    """One repetition: its nine context counts and its statistics, keyed as
-    in a summary.json per-rep entry."""
+    """One repetition: its nine contexts' (9, 5) counts and its statistics,
+    keyed as in a summary.json per-rep entry."""
 
-    counts: list[ContextCounts]
+    counts: np.ndarray
     stats: dict
 
 
@@ -102,25 +97,20 @@ def _summarize(reps: list[RepResult]) -> dict[str, dict[str, float]]:
     return summary
 
 
-def _check_counts(c: ContextCounts) -> None:
-    if not (c.n_plus + c.n_minus + c.n_double <= c.n_herald <= c.n_total):
-        raise InvariantViolation(f"count ordering violated: {c}")
-
-
-def _lg_stats(counts: list[ContextCounts]) -> dict[str, float]:
-    """Check one repetition's nine context counts and reduce them to K, W,
-    the pair correlations and the marginal-form K and W."""
-    for c in counts:
-        _check_counts(c)
+def _lg_stats(counts: np.ndarray) -> dict[str, float]:
+    """Check one repetition's (9, 5) counts and reduce them to K, W, the
+    pair correlations and the marginal-form K and W."""
+    n_total, n_herald, n_plus, n_minus, n_double = counts.T
+    bad = np.flatnonzero((n_plus + n_minus + n_double > n_herald) | (n_herald > n_total))
+    if bad.size:
+        j = bad[0]
+        row = ", ".join(f"{name}={v}" for name, v in zip(COUNT_COLUMNS, counts[j].tolist()))
+        raise InvariantViolation(f"count ordering violated in context {CONTEXT_BITS[j]}: {row}")
     p13 = pmf2_from_counts(counts[T1T3_PLUS], counts[T1T3_MINUS])
     p23 = pmf2_from_counts(counts[T2T3_PLUS], counts[T2T3_MINUS])
+    # the four two-blocker contexts, keyed by their (q1, q2) labels
     p3 = pmf3_from_counts(
-        {
-            (PLUS, PLUS): counts[T1T2T3_PP],
-            (PLUS, MINUS): counts[T1T2T3_PM],
-            (MINUS, PLUS): counts[T1T2T3_MP],
-            (MINUS, MINUS): counts[T1T2T3_MM],
-        }
+        {(q1, q2): c for (_, q1, q2), c in zip(STANDARD_CONTEXT_TABLE, counts) if q1 and q2}
     )
     p12 = marginal_12(p3)
     k_marg, w_marg = marginal_lg(p3)
@@ -173,8 +163,8 @@ def _count_tasks(plans: list[ExperimentPlan]) -> dict:
 
 def _reduce(plans: list[ExperimentPlan], tasks: dict, workers: int | None) -> list:
     """Run every task (fn, *args) on the thread pool and reduce the results
-    in a fixed order: [grid point][rep] -> (its nine context counts, its
-    merged shared-pass accumulator, empty if no shared pass ran)."""
+    in a fixed order: [grid point][rep] -> (its (9, 5) counts, its merged
+    shared-pass accumulator, empty if no shared pass ran)."""
     if workers is None:
         workers = default_workers()
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -189,7 +179,7 @@ def _reduce(plans: list[ExperimentPlan], tasks: dict, workers: int | None) -> li
                 acc.merge(results[("shared", rep, c)][i])
         if plan.mode == MODE_SHARED:
             return acc.counts, acc
-        return [results[(rep, j)][i] for j in range(len(STANDARD_CONTEXT_TABLE))], acc
+        return np.stack([results[(rep, j)][i] for j in range(len(STANDARD_CONTEXT_TABLE))]), acc
 
     return [[counts_and_acc(i, rep) for rep in range(plan.reps)] for i in range(len(plans))]
 

@@ -19,9 +19,10 @@ which rests on two facts about the BLAS that tests/test_harness.py pins
 (TestBlasFacts): an 8-column herald product rounds like the full product's
 first four columns, and gathered rows padded to GEMM_ROWS round like the
 same rows of the full product.
-Counts are plain integers accumulated chunk by chunk, so any parallel
-schedule that reduces them in a fixed order reproduces the serial result
-exactly.
+A context's counts are one int64 row whose columns are COUNT_COLUMNS, the
+columns of counts.csv; k contexts' counts are a (k, 5) array.  They are
+integers added chunk by chunk, so any parallel schedule that reduces them
+in a fixed order reproduces the serial result exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ STANDARD_CONTEXT_TABLE: tuple[tuple[tuple[int, int, int, int], int | None, int |
     ((0, 1, 0, 1), -1, -1),
 )
 
+# Each standard context's blocker bits as one string, as counts.csv and
+# summary.json label them.
+CONTEXT_BITS = tuple("".join(map(str, bits)) for bits, _, _ in STANDARD_CONTEXT_TABLE)
+
 OPEN = 0
 T1T3_PLUS, T1T3_MINUS = 1, 2
 T2T3_PLUS, T2T3_MINUS = 3, 4
@@ -88,22 +93,10 @@ def standard_contexts(optics: OpticalParams) -> list[Context]:
     return [Context(b=bits, optics=optics) for bits, _, _ in STANDARD_CONTEXT_TABLE]
 
 
-@dataclass
-class ContextCounts:
-    """Tallies for one context: heralds, exclusive coincidences, doubles."""
-
-    n_herald: int = 0
-    n_plus: int = 0
-    n_minus: int = 0
-    n_double: int = 0
-    n_total: int = 0
-
-    def add(self, other: "ContextCounts") -> None:
-        self.n_herald += other.n_herald
-        self.n_plus += other.n_plus
-        self.n_minus += other.n_minus
-        self.n_double += other.n_double
-        self.n_total += other.n_total
+# The columns of a context's count row: realizations, heralds, exclusive
+# coincidences at D2 and at D3, and doubles.
+COUNT_COLUMNS = ("n_total", "n_herald", "n_plus", "n_minus", "n_double")
+N_TOTAL, N_HERALD, N_PLUS, N_MINUS, N_DOUBLE = range(len(COUNT_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -163,9 +156,10 @@ def evaluate_context(
     return detect(a1, gamma), detect(a2, gamma), detect(a3, gamma)
 
 
-def _tally(n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> list[ContextCounts]:
-    """Counts of each context on a chunk of n_total realizations, from the
-    detections on a subset of its rows that holds every heralded row.
+def _tally(n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.ndarray:
+    """The (k, 5) counts of k contexts on a chunk of n_total realizations,
+    from the detections on a subset of its rows that holds every heralded
+    row.
 
     d1 has shape (n,); d2 and d3 have shape (n,) for one context or (k, n)
     for k contexts evaluated on the same draws, one context per row.  Every
@@ -173,14 +167,14 @@ def _tally(n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> list
     """
     d2, d3 = np.atleast_2d(d2, d3)
     coincident = d1 & d2
-    n_herald = int(np.count_nonzero(d1))
-    plus = np.count_nonzero(coincident & ~d3, axis=1)
-    minus = np.count_nonzero(d1 & ~d2 & d3, axis=1)
-    double = np.count_nonzero(coincident & d3, axis=1)
-    return [
-        ContextCounts(n_herald, int(p), int(m), int(dd), n_total=n_total)
-        for p, m, dd in zip(plus, minus, double)
-    ]
+    columns = (
+        n_total,
+        np.count_nonzero(d1),
+        np.count_nonzero(coincident & ~d3, axis=1),
+        np.count_nonzero(d1 & ~d2 & d3, axis=1),
+        np.count_nonzero(coincident & d3, axis=1),
+    )
+    return np.stack(np.broadcast_arrays(*columns), axis=1, dtype=np.int64)
 
 
 def _transfer(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -290,15 +284,15 @@ def _detections(
         yield [(n, d[0, :f], d[1::2, :f], d[2::2, :f]) for d, f in zip(det, filled)]
 
 
-def run_context(plans: list[ExperimentPlan], ctx: Context, rep_index: int) -> list[ContextCounts]:
+def run_context(plans: list[ExperimentPlan], ctx: Context, rep_index: int) -> np.ndarray:
     """Tally one context over the samples of one repetition at every grid
-    point in `plans`, drawing each chunk once; one count per point."""
+    point in `plans`, drawing each chunk once; one count row per point,
+    shape (points, 5)."""
     plan = plans[0]
     key = SHARED_STREAM_KEY if plan.mode == MODE_SHARED else ctx.bits_int
-    totals = [ContextCounts() for _ in plans]
+    totals = np.zeros((len(plans), len(COUNT_COLUMNS)), dtype=np.int64)
     for dets in _detections(plans, key, rep_index, [ctx], range(plan.n_chunks())):
-        for total, d in zip(totals, dets):
-            total.add(_tally(*d)[0])
+        totals += np.concatenate([_tally(*d) for d in dets])
     return totals
 
 

@@ -15,8 +15,13 @@ from itertools import product
 import numpy as np
 
 from .harness import (
+    CONTEXT_BITS,
+    COUNT_COLUMNS,
+    N_DOUBLE,
+    N_HERALD,
+    N_MINUS,
+    N_PLUS,
     OPEN,
-    STANDARD_CONTEXT_TABLE,
     T1T2T3_MM,
     T1T2T3_MP,
     T1T2T3_PM,
@@ -25,7 +30,6 @@ from .harness import (
     T1T3_PLUS,
     T2T3_MINUS,
     T2T3_PLUS,
-    ContextCounts,
     _tally,
 )
 
@@ -47,34 +51,39 @@ Pmf2 = dict[tuple[int, int], float]
 Pmf3 = dict[tuple[int, int, int], float]
 
 
-def pmf2_from_counts(counts_plus_ctx: ContextCounts, counts_minus_ctx: ContextCounts) -> Pmf2:
-    """Four-cell PMF from the two contexts measuring q_i = + and q_i = -.
+def _normalized(cells: dict, what: str) -> dict:
+    """Each cell's count over the cells' total, divided as Python ints."""
+    cells = {k: int(v) for k, v in cells.items()}
+    total = sum(cells.values())
+    if total == 0:
+        raise ZeroCoincidences(f"all {what} coincidence counts are zero")
+    return {k: v / total for k, v in cells.items()}
+
+
+def pmf2_from_counts(counts_plus_ctx: np.ndarray, counts_minus_ctx: np.ndarray) -> Pmf2:
+    """Four-cell PMF from the count rows of the two contexts measuring
+    q_i = + and q_i = -.
 
     Cell (q, +) takes the n_plus of context q, cell (q, -) its n_minus;
     normalization is over the grand total of the four exclusive counts.
     """
     cells = {
-        (PLUS, PLUS): counts_plus_ctx.n_plus,
-        (PLUS, MINUS): counts_plus_ctx.n_minus,
-        (MINUS, PLUS): counts_minus_ctx.n_plus,
-        (MINUS, MINUS): counts_minus_ctx.n_minus,
+        (PLUS, PLUS): counts_plus_ctx[N_PLUS],
+        (PLUS, MINUS): counts_plus_ctx[N_MINUS],
+        (MINUS, PLUS): counts_minus_ctx[N_PLUS],
+        (MINUS, MINUS): counts_minus_ctx[N_MINUS],
     }
-    total = sum(cells.values())
-    if total == 0:
-        raise ZeroCoincidences("all four coincidence counts are zero")
-    return {k: v / total for k, v in cells.items()}
+    return _normalized(cells, "four")
 
 
-def pmf3_from_counts(counts: dict[tuple[int, int], ContextCounts]) -> Pmf3:
-    """Eight-cell PMF from the four two-blocker contexts keyed by (q1, q2)."""
-    cells: dict[tuple[int, int, int], int] = {}
+def pmf3_from_counts(counts: dict[tuple[int, int], np.ndarray]) -> Pmf3:
+    """Eight-cell PMF from the count rows of the four two-blocker contexts
+    keyed by (q1, q2)."""
+    cells = {}
     for (q1, q2), c in counts.items():
-        cells[(q1, q2, PLUS)] = c.n_plus
-        cells[(q1, q2, MINUS)] = c.n_minus
-    total = sum(cells.values())
-    if total == 0:
-        raise ZeroCoincidences("all eight coincidence counts are zero")
-    return {k: v / total for k, v in cells.items()}
+        cells[(q1, q2, PLUS)] = c[N_PLUS]
+        cells[(q1, q2, MINUS)] = c[N_MINUS]
+    return _normalized(cells, "eight")
 
 
 def _marginal(p: Pmf3, axis: int) -> Pmf2:
@@ -126,15 +135,15 @@ def marginal_lg(p3: Pmf3) -> tuple[float, float]:
 
 @dataclass
 class EfficiencyAccumulator:
-    """Streaming aggregation of shared-draw chunks: the nine context counts
-    and the counterfactual Lambda-set unions over them.
+    """Streaming aggregation of shared-draw chunks: the nine contexts'
+    (9, 5) counts and the counterfactual Lambda-set unions over them.
 
     Addition of the integer tallies is associative and commutative, so
     chunks may be processed in any order (and combined across workers).
     """
 
-    counts: list[ContextCounts] = field(
-        default_factory=lambda: [ContextCounts() for _ in STANDARD_CONTEXT_TABLE]
+    counts: np.ndarray = field(
+        default_factory=lambda: np.zeros((len(CONTEXT_BITS), len(COUNT_COLUMNS)), dtype=np.int64)
     )
     n_lambda: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
     n_sym_diff: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.int64))
@@ -143,8 +152,7 @@ class EfficiencyAccumulator:
         """Add one chunk of n_total realizations: d1 of shape (n,), d2 and d3
         of shape (9, n), on a subset of its rows that holds every heralded
         row.  Every count and Lambda set is gated on d1."""
-        for tot, part in zip(self.counts, _tally(n_total, d1, d2, d3)):
-            tot.add(part)
+        self.counts += _tally(n_total, d1, d2, d3)
         valid = d1 & (d2 ^ d3)  # E+(b) | E-(b), one row per context
         lam_t3 = valid[OPEN]
         lam_13 = valid[T1T3_PLUS] | valid[T1T3_MINUS]
@@ -158,8 +166,7 @@ class EfficiencyAccumulator:
         ]
 
     def merge(self, other: "EfficiencyAccumulator") -> None:
-        for tot, part in zip(self.counts, other.counts):
-            tot.add(part)
+        self.counts += other.counts
         self.n_lambda += other.n_lambda
         self.n_sym_diff += other.n_sym_diff
 
@@ -167,10 +174,10 @@ class EfficiencyAccumulator:
         """The efficiencies, their bounds, the double-detection rates keyed by
         context bit string, and the Lambda-set symmetric differences, keyed
         as in a summary.json per-rep entry."""
-        nh = self.counts[OPEN].n_herald  # every context sees the same heralds
+        nh = int(self.counts[OPEN, N_HERALD])  # every context sees the same heralds
         if nh == 0:
             raise NoHeralds("no herald detections in the shared-draw record")
-        coinc = [c.n_plus + c.n_minus for c in self.counts]
+        coinc = (self.counts[:, N_PLUS] + self.counts[:, N_MINUS]).tolist()
         bound = lambda idx: float(sum(coinc[j] for j in idx)) / nh
         return {
             "eta_t3": self.n_lambda[0] / nh,
@@ -180,10 +187,7 @@ class EfficiencyAccumulator:
             "bound_t1t3": bound((T1T3_PLUS, T1T3_MINUS)),
             "bound_t2t3": bound((T2T3_PLUS, T2T3_MINUS)),
             "bound_t1t2t3": bound((T1T2T3_PP, T1T2T3_PM, T1T2T3_MP, T1T2T3_MM)),
-            "delta": {
-                "".join(map(str, bits)): float(c.n_double) / nh
-                for (bits, _, _), c in zip(STANDARD_CONTEXT_TABLE, self.counts)
-            },
+            "delta": dict(zip(CONTEXT_BITS, (self.counts[:, N_DOUBLE] / nh).tolist())),
             "sym_diff": {
                 "t1t3_vs_t2t3": int(self.n_sym_diff[0]),
                 "t1t3_vs_t1t2t3": int(self.n_sym_diff[1]),
@@ -192,29 +196,24 @@ class EfficiencyAccumulator:
         }
 
 
-def w_decomposition(counts: list[ContextCounts], eff: dict) -> dict[str, float]:
+def w_decomposition(counts: np.ndarray, eff: dict) -> dict[str, float]:
     """Side-by-side view of the directly measured W and its marginal form.
 
     Each direct term is exhibited as mu[E|D1] / eta for its context group;
     the marginal terms divide by the common two-blocker efficiency instead.
     No new estimator: the direct W here equals w_statistic on the same counts.
-    `counts` are the shared-draw counts behind `eff`, a report() dict.
+    `counts` are the (9, 5) shared-draw counts behind `eff`, a report() dict.
     """
     for name in ("eta_t1t3", "eta_t2t3", "eta_t1t2t3"):
         if eff[name] == 0:
             raise ZeroCoincidences(f"{name} is zero: its Lambda set is empty")
-    nh = counts[OPEN].n_herald
-    p13_mp = (counts[T1T3_MINUS].n_plus / nh) / eff["eta_t1t3"]
-    p23_mp = (counts[T2T3_MINUS].n_plus / nh) / eff["eta_t2t3"]
-    p12_mp = (
-        (counts[T1T2T3_MP].n_plus + counts[T1T2T3_MP].n_minus) / nh
-    ) / eff["eta_t1t2t3"]
-    p13_mp_marg = (
-        (counts[T1T2T3_MP].n_plus + counts[T1T2T3_MM].n_plus) / nh
-    ) / eff["eta_t1t2t3"]
-    p23_mp_marg = (
-        (counts[T1T2T3_PM].n_plus + counts[T1T2T3_MM].n_plus) / nh
-    ) / eff["eta_t1t2t3"]
+    nh = int(counts[OPEN, N_HERALD])
+    plus, minus = counts[:, N_PLUS].tolist(), counts[:, N_MINUS].tolist()
+    p13_mp = (plus[T1T3_MINUS] / nh) / eff["eta_t1t3"]
+    p23_mp = (plus[T2T3_MINUS] / nh) / eff["eta_t2t3"]
+    p12_mp = ((plus[T1T2T3_MP] + minus[T1T2T3_MP]) / nh) / eff["eta_t1t2t3"]
+    p13_mp_marg = ((plus[T1T2T3_MP] + plus[T1T2T3_MM]) / nh) / eff["eta_t1t2t3"]
+    p23_mp_marg = ((plus[T1T2T3_PM] + plus[T1T2T3_MM]) / nh) / eff["eta_t1t2t3"]
     return {
         "p13_mp_direct": p13_mp,
         "p23_mp_direct": p23_mp,

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lgwave import experiment
 from lgwave.cli import RunConfig, main
+from lgwave.harness import N_HERALD, N_TOTAL, run_context
 
 DATA = Path(__file__).parent / "data"
 
@@ -88,6 +90,26 @@ class TestRun:
         assert rc == 1
         assert "no-statistics" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_invariant_violation_exits_4(self, command, tmp_path, monkeypatch, capsys):
+        # per-context counts with more heralds than realizations
+        def corrupt_run_context(plans, ctx, rep):
+            counts = run_context(plans, ctx, rep)
+            counts[:, N_HERALD] = counts[:, N_TOTAL] + 1
+            return counts
+
+        monkeypatch.setattr(experiment, "run_context", corrupt_run_context)
+        argv = [command, *TINY, "--out", str(tmp_path)]
+        if command == "sweep":
+            argv += ["--sweep-r", "0.3", "--sweep-gamma", "1.2"]
+        assert run_cli(argv) == 4
+        err = capsys.readouterr().err
+        assert "lgwave: error [invariant-violation]" in err
+        assert "count ordering violated in context 1111: n_total=4096, n_herald=4097" in err
+        if command == "sweep":
+            assert "r=0.3, gamma=1.2: count ordering violated" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_same_seed_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

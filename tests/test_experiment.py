@@ -6,8 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgwave.experiment import SUMMARY_STATS, default_workers, run_experiment, run_kw_only
-from lgwave.harness import MODE_SHARED, STANDARD_CONTEXT_TABLE, ExperimentPlan
+from lgwave.experiment import (
+    SUMMARY_STATS,
+    InvariantViolation,
+    _lg_stats,
+    default_workers,
+    run_experiment,
+    run_kw_only,
+)
+from lgwave.harness import (
+    CONTEXT_BITS,
+    COUNT_COLUMNS,
+    MODE_SHARED,
+    N_HERALD,
+    STANDARD_CONTEXT_TABLE,
+    T2T3_MINUS,
+    ExperimentPlan,
+)
 from lgwave.optics import OpticalParams, SourceParams
 from lgwave.oracle import predicted_pmfs
 from lgwave.stats import MINUS, PLUS, pmf2_from_counts
@@ -30,7 +45,7 @@ class TestRunExperiment:
         r8 = run_experiment(p, workers=8)
         for a, b in [(r1, r2), (r1, r8)]:
             for ra, rb in zip(a.reps, b.reps):
-                assert ra.counts == rb.counts
+                assert np.array_equal(ra.counts, rb.counts)
                 assert ra.stats["K"] == rb.stats["K"] and ra.stats["W"] == rb.stats["W"]
                 assert ra.stats == rb.stats
 
@@ -39,8 +54,7 @@ class TestRunExperiment:
         res = run_experiment(p)
         # all contexts see the same draws, so the herald column is shared
         for rep in res.reps:
-            heralds = {c.n_herald for c in rep.counts}
-            assert len(heralds) == 1
+            assert len(np.unique(rep.counts[:, N_HERALD])) == 1
 
     def test_marginal_bounds_on_simulated_data(self):
         res = run_experiment(plan(samples=1 << 17, reps=3))
@@ -122,6 +136,30 @@ class TestRunKwOnly:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             run_kw_only([])
+
+
+class TestCountInvariant:
+    # n_total, n_herald, n_plus, n_minus, n_double of a consistent context
+    GOOD = [1000, 40, 12, 9, 3]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1000, 20, 12, 9, 3],  # n_plus + n_minus + n_double > n_herald
+            [30, 40, 12, 9, 3],  # n_herald > n_total
+        ],
+        ids=["coincidences-above-heralds", "heralds-above-total"],
+    )
+    def test_bad_row_named_with_its_counts(self, bad):
+        counts = np.array([self.GOOD] * len(STANDARD_CONTEXT_TABLE), dtype=np.int64)
+        _lg_stats(counts)  # the consistent rows pass
+        counts[T2T3_MINUS] = bad
+        with pytest.raises(InvariantViolation) as e:
+            _lg_stats(counts)
+        message = str(e.value)
+        assert f"context {CONTEXT_BITS[T2T3_MINUS]}:" in message
+        for name, value in zip(COUNT_COLUMNS, bad):
+            assert f"{name}={value}" in message
 
 
 # Any text an environment variable can hold: no NUL, no lone surrogates.

@@ -6,14 +6,17 @@ import pytest
 
 from lgwave.harness import (
     CHUNK,
+    COUNT_COLUMNS,
     GEMM_ROWS,
     HERALD_COLUMNS,
     MODE_INDEPENDENT,
     MODE_SHARED,
+    N_HERALD,
+    N_MINUS,
+    N_PLUS,
     ROW_BLOCK,
     SHARED_STREAM_KEY,
     STANDARD_CONTEXT_TABLE,
-    ContextCounts,
     ExperimentPlan,
     _gather,
     _tally,
@@ -94,28 +97,66 @@ class TestEvaluateContext:
             assert np.array_equal(d1, d1s[0])
 
 
+def reference_tally(n_total, d1, d2, d3):
+    """_tally spelled out one realization at a time: count rows in
+    COUNT_COLUMNS order, one per context."""
+    rows = []
+    for e2, e3 in zip(d2, d3):
+        herald = plus = minus = double = 0
+        for h, a, b in zip(d1, e2, e3):
+            if not h:
+                continue
+            herald += 1
+            if a and b:
+                double += 1
+            elif a:
+                plus += 1
+            elif b:
+                minus += 1
+        rows.append([n_total, herald, plus, minus, double])
+    return rows
+
+
+class TestTally:
+    @pytest.mark.parametrize("k", [1, 9])
+    @pytest.mark.parametrize("n", [0, 1, 777])
+    def test_matches_reference_loop(self, k, n):
+        g = np.random.default_rng(100 * k + n)
+        d1 = g.random(n) < 0.6
+        d2, d3 = g.random((2, k, n)) < 0.5
+        n_total = n + 13  # rows outside the gathered set add to n_total only
+        expected = reference_tally(n_total, d1.tolist(), d2.tolist(), d3.tolist())
+        counts = _tally(n_total, d1, d2, d3)
+        assert counts.dtype == np.int64
+        assert counts.shape == (k, len(COUNT_COLUMNS))
+        assert counts.tolist() == expected
+        if k == 1:  # one context may also come as 1-d detections
+            assert _tally(n_total, d1, d2[0], d3[0]).tolist() == expected
+
+
 class TestRunContext:
     def test_zero_threshold_all_double(self):
         n = 1 << 10
         (c,) = run_context([plan(samples=n, gamma=0.0)], open_context(), 0)
-        assert c.n_plus == 0 and c.n_minus == 0
-        assert c.n_double == c.n_herald == c.n_total == n
+        # n_total, n_herald, n_plus, n_minus, n_double
+        assert c.tolist() == [n, n, 0, 0, n]
 
     def test_count_ordering(self):
         (c,) = run_context([plan(samples=1 << 16)], open_context(), 0)
-        assert c.n_plus + c.n_minus + c.n_double <= c.n_herald <= c.n_total
+        n_total, n_herald, n_plus, n_minus, n_double = c
+        assert n_plus + n_minus + n_double <= n_herald <= n_total
 
     def test_deterministic(self):
         p = plan(samples=CHUNK + 100)  # spans a partial chunk
         c1 = run_context([p], open_context(), 0)
         c2 = run_context([p], open_context(), 0)
-        assert c1 == c2
+        assert np.array_equal(c1, c2)
 
     def test_reps_use_fresh_streams(self):
         p = plan(samples=1 << 14)
         c0 = run_context([p], open_context(), 0)
         c1 = run_context([p], open_context(), 1)
-        assert c0 != c1
+        assert not np.array_equal(c0, c1)
 
 
 class TestCounterfactual:
@@ -133,12 +174,10 @@ class TestCounterfactual:
 
     def test_counts_match_run_context_on_shared_streams(self):
         p = plan(samples=1 << 14, mode=MODE_SHARED)
-        totals = [ContextCounts() for _ in STANDARD_CONTEXT_TABLE]
-        for (d,) in counterfactual_chunks([p], 0):
-            for tot, part in zip(totals, _tally(*d)):
-                tot.add(part)
+        totals = sum(_tally(*d) for (d,) in counterfactual_chunks([p], 0))
+        assert totals.shape == (len(STANDARD_CONTEXT_TABLE), len(COUNT_COLUMNS))
         for ctx, expected in zip(p.contexts, totals):
-            assert run_context([p], ctx, 0) == [expected]
+            assert np.array_equal(run_context([p], ctx, 0), [expected])
 
     def test_modes_statistically_compatible(self):
         # z-score between coincidence rates of the two draw modes < 4
@@ -146,8 +185,8 @@ class TestCounterfactual:
         ctx = open_context()
         (c_ind,) = run_context([plan(samples=n, mode=MODE_INDEPENDENT, seed=5)], ctx, 0)
         (c_sh,) = run_context([plan(samples=n, mode=MODE_SHARED, seed=5)], ctx, 0)
-        for attr in ("n_herald", "n_plus", "n_minus"):
-            x, y = getattr(c_ind, attr), getattr(c_sh, attr)
+        for col in (N_HERALD, N_PLUS, N_MINUS):
+            x, y = int(c_ind[col]), int(c_sh[col])
             p_hat = (x + y) / (2 * n)
             se = np.sqrt(2 * p_hat * (1 - p_hat) * n)
             assert abs(x - y) < 4 * se
@@ -228,12 +267,12 @@ class TestKernelMatchesReference:
         p = random_plan(i)
         ctx = p.contexts[i % 9]
         key = SHARED_STREAM_KEY if p.mode == MODE_SHARED else ctx.bits_int
-        expected = ContextCounts()
+        expected = np.zeros(len(COUNT_COLUMNS), dtype=np.int64)
         for c in range(p.n_chunks()):
             h = sample_hidden(p.chunk_rng(key, 0, c), p.chunk_size(c))
             (counts,) = _tally(len(h), *evaluate_context(h, p.source, ctx, p.gamma))
-            expected.add(counts)
-        assert run_context([p], ctx, 0) == [expected]
+            expected += counts
+        assert np.array_equal(run_context([p], ctx, 0), [expected])
 
     @pytest.mark.parametrize("i", range(12))
     def test_grid_counts_match_one_point_calls(self, i):
@@ -248,10 +287,11 @@ class TestKernelMatchesReference:
                 fused = _shared_chunk_task(plans, rep, c)
                 assert len(fused) == len(plans)
                 for acc, q in zip(fused, plans):
-                    assert acc.counts == _shared_chunk_task([q], rep, c)[0].counts
-            assert run_context(plans, ctx, rep) == [
-                run_context([q], ctx, rep)[0] for q in plans
-            ]
+                    assert np.array_equal(acc.counts, _shared_chunk_task([q], rep, c)[0].counts)
+            assert np.array_equal(
+                run_context(plans, ctx, rep),
+                np.concatenate([run_context([q], ctx, rep) for q in plans]),
+            )
 
 
 class TestPeakMemory:

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lgwave.harness import MODE_SHARED, OPEN, ContextCounts, ExperimentPlan, counterfactual_chunks
+from lgwave.harness import MODE_SHARED, N_HERALD, OPEN, ExperimentPlan, counterfactual_chunks
 from lgwave.optics import SourceParams
 from lgwave.stats import (
     MINUS,
@@ -39,10 +39,8 @@ def uniform3():
 def counts(n_plus=0, n_minus=0, n_herald=None, n_double=0, n_total=1000):
     if n_herald is None:
         n_herald = n_plus + n_minus + n_double
-    return ContextCounts(
-        n_herald=n_herald, n_plus=n_plus, n_minus=n_minus,
-        n_double=n_double, n_total=n_total,
-    )
+    # one context's count row, in COUNT_COLUMNS order
+    return np.array([n_total, n_herald, n_plus, n_minus, n_double], dtype=np.int64)
 
 
 def random_pmf3(rng):
@@ -181,7 +179,7 @@ class TestEfficiencies:
     def test_direct_at_most_bound(self):
         acc = shared_accumulator(shared_plan())
         report = acc.report()
-        nh = acc.counts[OPEN].n_herald
+        nh = acc.counts[OPEN, N_HERALD]
         for eta, bound in [
             (report["eta_t1t3"], report["bound_t1t3"]),
             (report["eta_t2t3"], report["bound_t2t3"]),
