@@ -13,8 +13,10 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .experiment import InvariantViolation, default_workers, run_experiment, run_kw_only
-from .stats import NoHeralds, ZeroCoincidences
+from .stats import NoHeralds, ZeroCoincidences, marginal_12
 from .harness import (
     CONTEXT_BITS,
     COUNT_COLUMNS,
@@ -24,7 +26,6 @@ from .harness import (
 )
 from .optics import OpticalParams, SourceParams
 from .oracle import context_labels, predicted_pmfs, predicted_stats, type_weight_sums
-from .stats import marginal_12
 
 SCHEMA_VERSION = 1
 
@@ -203,10 +204,7 @@ def oracle_report(cfg: RunConfig) -> dict:
     p12 = marginal_12(p3)
 
     def cells(pmf):
-        return {
-            "".join("+" if q > 0 else "-" for q in key): value
-            for key, value in pmf.items()
-        }
+        return {"".join("+-"[i] for i in idx): float(v) for idx, v in np.ndenumerate(pmf)}
 
     return {
         "params": asdict(optics),

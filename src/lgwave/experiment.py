@@ -21,6 +21,8 @@ from .harness import (
     COUNT_COLUMNS,
     MODE_SHARED,
     STANDARD_CONTEXT_TABLE,
+    T1T2T3_MM,
+    T1T2T3_PP,
     T1T3_MINUS,
     T1T3_PLUS,
     T2T3_MINUS,
@@ -108,10 +110,7 @@ def _lg_stats(counts: np.ndarray) -> dict[str, float]:
         raise InvariantViolation(f"count ordering violated in context {CONTEXT_BITS[j]}: {row}")
     p13 = pmf2_from_counts(counts[T1T3_PLUS], counts[T1T3_MINUS])
     p23 = pmf2_from_counts(counts[T2T3_PLUS], counts[T2T3_MINUS])
-    # the four two-blocker contexts, keyed by their (q1, q2) labels
-    p3 = pmf3_from_counts(
-        {(q1, q2): c for (_, q1, q2), c in zip(STANDARD_CONTEXT_TABLE, counts) if q1 and q2}
-    )
+    p3 = pmf3_from_counts(counts[T1T2T3_PP : T1T2T3_MM + 1])
     p12 = marginal_12(p3)
     k_marg, w_marg = marginal_lg(p3)
     if k_marg > 1.0 + 1e-12 or w_marg > 1e-12:

@@ -25,16 +25,7 @@ from .harness import (
     standard_contexts,
 )
 from .optics import Context, OpticalParams
-from .stats import (
-    MINUS,
-    PLUS,
-    Pmf2,
-    Pmf3,
-    correlation,
-    k_statistic,
-    marginal_12,
-    w_statistic,
-)
+from .stats import MINUS, PLUS, correlation, k_statistic, marginal_12, w_statistic
 
 
 @dataclass(frozen=True)
@@ -72,55 +63,38 @@ def amplitudes(ctx: Context) -> AmplitudePair:
     return AmplitudePair(complex(alpha_plus), complex(alpha_minus))
 
 
+def _weights(optics: OpticalParams) -> np.ndarray:
+    """(|alpha+|^2, |alpha-|^2) of each standard context, one row each."""
+    return np.array([amplitudes(c).weights for c in standard_contexts(optics)])
+
+
 def type_weight_sums(optics: OpticalParams) -> dict[str, float]:
     """Sum of |alpha+|^2 + |alpha-|^2 over each experiment type's contexts.
 
     For the standard context groups this is exactly 1 for any parameters,
     which is what justifies normalizing counts per type.
     """
-    ctxs = standard_contexts(optics)
-    w = [sum(amplitudes(c).weights) for c in ctxs]
+    w = _weights(optics)
+    s = (w[:, 0] + w[:, 1]).tolist()
     return {
-        "t1t3": w[T1T3_PLUS] + w[T1T3_MINUS],
-        "t2t3": w[T2T3_PLUS] + w[T2T3_MINUS],
-        "t1t2t3": w[T1T2T3_PP] + w[T1T2T3_PM] + w[T1T2T3_MP] + w[T1T2T3_MM],
+        "t1t3": s[T1T3_PLUS] + s[T1T3_MINUS],
+        "t2t3": s[T2T3_PLUS] + s[T2T3_MINUS],
+        "t1t2t3": s[T1T2T3_PP] + s[T1T2T3_PM] + s[T1T2T3_MP] + s[T1T2T3_MM],
     }
 
 
-def predicted_pmfs(optics: OpticalParams) -> tuple[Pmf2, Pmf2, Pmf3]:
-    """Quantum PMFs (P_{t1,t3}, P_{t2,t3}, P_{t1,t2,t3}).
+def predicted_pmfs(optics: OpticalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantum PMFs (P_{t1,t3}, P_{t2,t3}, P_{t1,t2,t3}), laid out as in stats.
 
     Cell (context, q3=+) gets |alpha+|^2 and (context, q3=-) gets |alpha-|^2,
     normalized per experiment type (the per-context sums are T1, R1, etc.;
     only the type-level sum is unity).
     """
-    ctxs = standard_contexts(optics)
-    w = [amplitudes(c).weights for c in ctxs]
-
-    def cells2(idx_plus: int, idx_minus: int) -> Pmf2:
-        total = sum(w[idx_plus]) + sum(w[idx_minus])
-        return {
-            (PLUS, PLUS): w[idx_plus][0] / total,
-            (PLUS, MINUS): w[idx_plus][1] / total,
-            (MINUS, PLUS): w[idx_minus][0] / total,
-            (MINUS, MINUS): w[idx_minus][1] / total,
-        }
-
-    p13 = cells2(T1T3_PLUS, T1T3_MINUS)
-    p23 = cells2(T2T3_PLUS, T2T3_MINUS)
-
-    idx3 = {
-        (PLUS, PLUS): T1T2T3_PP,
-        (PLUS, MINUS): T1T2T3_PM,
-        (MINUS, PLUS): T1T2T3_MP,
-        (MINUS, MINUS): T1T2T3_MM,
-    }
-    total3 = sum(sum(w[j]) for j in idx3.values())
-    p3 = {
-        (q1, q2, q3): w[j][0 if q3 == PLUS else 1] / total3
-        for (q1, q2), j in idx3.items()
-        for q3 in (PLUS, MINUS)
-    }
+    w = _weights(optics)
+    total = type_weight_sums(optics)
+    p13 = w[[T1T3_PLUS, T1T3_MINUS]] / total["t1t3"]
+    p23 = w[[T2T3_PLUS, T2T3_MINUS]] / total["t2t3"]
+    p3 = w[T1T2T3_PP : T1T2T3_MM + 1].reshape(2, 2, 2) / total["t1t2t3"]
     return p13, p23, p3
 
 

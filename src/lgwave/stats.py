@@ -1,16 +1,18 @@
 """Counts -> PMFs, correlations, K and W statistics, efficiencies.
 
-Outcomes are labeled +1 / -1.  PMF cells are exact ratios of integer counts,
-so normalization holds to machine precision.  The marginal-form statistics
-(K_marginal, W_marginal) are mathematical identities bounded by 1 and 0
-respectively for *any* joint PMF; the directly measured K and W carry no
-such bound, which is the whole point of the comparison.
+Outcomes are labeled +1 / -1.  A PMF is a float64 array with one axis per
+time, (2, 2) for two times and (2, 2, 2) for three; along each axis index 0
+is the outcome +1 and index 1 is -1.  PMF cells are exact ratios of
+integer counts, so normalization holds to machine precision.  The
+marginal-form statistics (K_marginal, W_marginal) are mathematical
+identities bounded by 1 and 0 respectively for *any* joint PMF; the
+directly measured K and W carry no such bound, which is the whole point
+of the comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .harness import (
 )
 
 PLUS, MINUS = +1, -1
-OUTCOMES = (PLUS, MINUS)
 
 
 class ZeroCoincidences(ValueError):
@@ -45,83 +46,59 @@ class NoHeralds(ValueError):
     """No herald detections; efficiencies are undefined."""
 
 
-# PMF over (q_i, q_j) in {+,-}^2.
-Pmf2 = dict[tuple[int, int], float]
-# PMF over (q1, q2, q3) in {+,-}^3.
-Pmf3 = dict[tuple[int, int, int], float]
-
-
-def _normalized(cells: dict, what: str) -> dict:
-    """Each cell's count over the cells' total, divided as Python ints."""
-    cells = {k: int(v) for k, v in cells.items()}
-    total = sum(cells.values())
+def _normalized(cells: np.ndarray, what: str) -> np.ndarray:
+    """Each integer cell over the cells' exact total, as float64."""
+    total = int(cells.sum())
     if total == 0:
         raise ZeroCoincidences(f"all {what} coincidence counts are zero")
-    return {k: v / total for k, v in cells.items()}
+    return cells / total
 
 
-def pmf2_from_counts(counts_plus_ctx: np.ndarray, counts_minus_ctx: np.ndarray) -> Pmf2:
-    """Four-cell PMF from the count rows of the two contexts measuring
-    q_i = + and q_i = -.
+def pmf2_from_counts(counts_plus_ctx: np.ndarray, counts_minus_ctx: np.ndarray) -> np.ndarray:
+    """(2, 2) PMF over (q_i, q_j) from the count rows of the two contexts
+    measuring q_i = + and q_i = -.
 
-    Cell (q, +) takes the n_plus of context q, cell (q, -) its n_minus;
-    normalization is over the grand total of the four exclusive counts.
+    Row 0 takes the (n_plus, n_minus) of the q_i = + context, row 1 those
+    of the q_i = - context; normalization is over the four cells' total.
     """
-    cells = {
-        (PLUS, PLUS): counts_plus_ctx[N_PLUS],
-        (PLUS, MINUS): counts_plus_ctx[N_MINUS],
-        (MINUS, PLUS): counts_minus_ctx[N_PLUS],
-        (MINUS, MINUS): counts_minus_ctx[N_MINUS],
-    }
-    return _normalized(cells, "four")
+    return _normalized(np.stack([counts_plus_ctx[[N_PLUS, N_MINUS]],
+                                 counts_minus_ctx[[N_PLUS, N_MINUS]]]), "four")
 
 
-def pmf3_from_counts(counts: dict[tuple[int, int], np.ndarray]) -> Pmf3:
-    """Eight-cell PMF from the count rows of the four two-blocker contexts
-    keyed by (q1, q2)."""
-    cells = {}
-    for (q1, q2), c in counts.items():
-        cells[(q1, q2, PLUS)] = c[N_PLUS]
-        cells[(q1, q2, MINUS)] = c[N_MINUS]
-    return _normalized(cells, "eight")
+def pmf3_from_counts(counts: np.ndarray) -> np.ndarray:
+    """(2, 2, 2) PMF over (q1, q2, q3) from the (4, 5) count rows of the
+    two-blocker contexts labeled (+,+), (+,-), (-,+), (-,-), in that order."""
+    return _normalized(counts[:, [N_PLUS, N_MINUS]].reshape(2, 2, 2), "eight")
 
 
-def _marginal(p: Pmf3, axis: int) -> Pmf2:
-    """Two-time PMF left by summing out the outcome at position `axis`."""
-    return {
-        kept: sum(p[kept[:axis] + (q,) + kept[axis:]] for q in OUTCOMES)
-        for kept in product(OUTCOMES, OUTCOMES)
-    }
+def marginal_12(p: np.ndarray) -> np.ndarray:
+    return p[:, :, 0] + p[:, :, 1]
 
 
-def marginal_12(p: Pmf3) -> Pmf2:
-    return _marginal(p, 2)
+def marginal_13(p: np.ndarray) -> np.ndarray:
+    return p[:, 0, :] + p[:, 1, :]
 
 
-def marginal_13(p: Pmf3) -> Pmf2:
-    return _marginal(p, 1)
+def marginal_23(p: np.ndarray) -> np.ndarray:
+    return p[0] + p[1]
 
 
-def marginal_23(p: Pmf3) -> Pmf2:
-    return _marginal(p, 0)
+def correlation(p: np.ndarray) -> float:
+    """C = P(+,+) - P(+,-) - P(-,+) + P(-,-), in [-1, 1]."""
+    return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
 
 
-def correlation(p: Pmf2) -> float:
-    """C = P(+,+) + P(-,-) - P(+,-) - P(-,+), in [-1, 1]."""
-    return sum(qi * qj * pij for (qi, qj), pij in p.items())
-
-
-def k_statistic(p12: Pmf2, p23: Pmf2, p13: Pmf2) -> float:
+def k_statistic(p12: np.ndarray, p23: np.ndarray, p13: np.ndarray) -> float:
     """K = C_{t1,t2} + C_{t2,t3} - C_{t1,t3}."""
     return correlation(p12) + correlation(p23) - correlation(p13)
 
 
-def w_statistic(p13: Pmf2, p23: Pmf2, p12: Pmf2) -> float:
+def w_statistic(p13: np.ndarray, p23: np.ndarray, p12: np.ndarray) -> float:
     """W = P_{t1,t3}(-,+) - P_{t2,t3}(-,+) - P_{t1,t2}(-,+)."""
-    return p13[(MINUS, PLUS)] - p23[(MINUS, PLUS)] - p12[(MINUS, PLUS)]
+    return float(p13[1, 0] - p23[1, 0] - p12[1, 0])
 
 
-def marginal_lg(p3: Pmf3) -> tuple[float, float]:
+def marginal_lg(p3: np.ndarray) -> tuple[float, float]:
     """Marginal-form statistics (K_marginal, W_marginal).
 
     All three pair PMFs are marginals of the one joint three-time PMF, so

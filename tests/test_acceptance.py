@@ -17,12 +17,13 @@ import sys
 import numpy as np
 import pytest
 
+from classical_reference import Z_MAX, herald_z
 from lgwave.experiment import run_experiment, run_kw_only
 from lgwave.harness import ExperimentPlan
 from lgwave.optics import OpticalParams, SourceParams, norm, sample_hidden, SIGMA
 from lgwave.optics import Context, stage1, stage2, stage3
 from lgwave.oracle import predicted_pmfs, predicted_stats, type_weight_sums
-from lgwave.stats import MINUS, PLUS, Pmf3, marginal_lg
+from lgwave.stats import marginal_lg
 
 FULL = os.environ.get("LGWAVE_ACCEPTANCE_FULL") == "1"
 SAMPLES = (1 << 20) if FULL else (1 << 18)
@@ -90,7 +91,7 @@ def test_05_lambda_set_distinctness(default_result):
 def test_06_oracle_exactness():
     stats = predicted_stats(OpticalParams())
     _, _, p3 = predicted_pmfs(OpticalParams())
-    ok = abs(stats["K"] - 1.5) < 1e-12 and abs(p3[(PLUS, MINUS, MINUS)] - 0.09375) < 1e-12
+    ok = abs(stats["K"] - 1.5) < 1e-12 and abs(p3[0, 1, 1] - 0.09375) < 1e-12
     rng = np.random.default_rng(42)
     for _ in range(1000):
         optics = OpticalParams(
@@ -100,15 +101,14 @@ def test_06_oracle_exactness():
         ok = ok and all(
             abs(v - 1.0) < 1e-12 for v in type_weight_sums(optics).values()
         )
-    check("6 oracle exactness", ok, f"K={stats['K']!r} P(+,-,-)={p3[(PLUS, MINUS, MINUS)]!r}")
+    check("6 oracle exactness", ok, f"K={stats['K']!r} P(+,-,-)={float(p3[0, 1, 1])!r}")
 
 
 def test_07_marginal_identity_suite(default_result):
     rng = np.random.default_rng(7)
-    keys = [(q1, q2, q3) for q1 in (PLUS, MINUS) for q2 in (PLUS, MINUS) for q3 in (PLUS, MINUS)]
     worst_k, worst_w = -np.inf, -np.inf
     for _ in range(10_000):
-        p3 = Pmf3(dict(zip(keys, rng.dirichlet(np.ones(8)))))
+        p3 = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
         k_marg, w_marg = marginal_lg(p3)
         worst_k = max(worst_k, k_marg)
         worst_w = max(worst_w, w_marg)
@@ -201,3 +201,12 @@ def test_10_physics_micro_oracles():
         f"target={np.cosh(2 * r):.5f} E[a1 a2]={prod.mean().real:.5f} "
         f"target={SIGMA**2 * np.sinh(2 * r):.5f}",
     )
+
+
+def test_11_herald_rate(default_result):
+    # every context and rep of the fixture (r = 0.3, gamma = 2) against the
+    # closed-form herald rate
+    counts = np.stack([rep.counts for rep in default_result.reps])
+    z = herald_z(counts, 0.3, 2.0)
+    worst = float(np.abs(z).max())
+    check("11 herald rate", worst <= Z_MAX, f"max |z| of n_herald={worst:.2f} over {z.size} rows")

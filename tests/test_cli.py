@@ -137,11 +137,14 @@ class TestRun:
         assert "invalid-config" in capsys.readouterr().err
 
     def test_golden_counts(self, tmp_path, monkeypatch):
-        # frozen tiny runs and sweeps, one per draw mode: (argv, output, golden file)
+        # frozen tiny runs and sweeps, one per draw mode, and the oracle at
+        # two optics: (argv, output, golden file)
         run = ["run", "--samples", "1024", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
         sweep = ["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
                  "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"]
         shared = ["--mode", "shared-draws"]
+        oracle = ["oracle"]
+        tilted = ["--t1", "0.3", "--t2", "0.6", "--t3", "0.9", "--theta1", "0.7", "--theta2", "-1.1"]
         cases = [
             (run, "counts.csv", "golden_counts.csv"),
             (run + shared, "counts.csv", "golden_counts_shared.csv"),
@@ -149,6 +152,8 @@ class TestRun:
             (sweep + shared, "sweep.csv", "golden_sweep_shared.csv"),
             (run, "summary.json", "golden_summary.json"),
             (run + shared, "summary.json", "golden_summary_shared.json"),
+            (oracle, "oracle.json", "golden_oracle.json"),
+            (oracle + tilted, "oracle.json", "golden_oracle_tilted.json"),
         ]
         # a relative --out named after the golden file, which summary.json
         # records as config.out

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classical_reference import Z_MAX, herald_z
 from lgwave.experiment import (
     SUMMARY_STATS,
     InvariantViolation,
+    _count_tasks,
     _lg_stats,
+    _reduce,
+    _shared_tasks,
     default_workers,
     run_experiment,
     run_kw_only,
@@ -25,7 +29,7 @@ from lgwave.harness import (
 )
 from lgwave.optics import OpticalParams, SourceParams
 from lgwave.oracle import predicted_pmfs
-from lgwave.stats import MINUS, PLUS, pmf2_from_counts
+from lgwave.stats import pmf2_from_counts
 from lgwave.harness import T1T3_MINUS, T1T3_PLUS
 
 
@@ -68,7 +72,7 @@ class TestRunExperiment:
             res.reps[0].counts[T1T3_PLUS], res.reps[0].counts[T1T3_MINUS]
         )
         p13_qm, _, _ = predicted_pmfs(OpticalParams())
-        for key in p13_qm:
+        for key in np.ndindex(2, 2):
             assert abs(p13_sim[key] - p13_qm[key]) < 0.06
 
     def test_w_decomposition_marginal_nonpositive(self):
@@ -136,6 +140,26 @@ class TestRunKwOnly:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             run_kw_only([])
+
+
+class TestHeraldRate:
+    """n_herald against the closed-form herald rate, |z| <= Z_MAX per row."""
+
+    def test_shared_draws_run(self):
+        p = plan(source=SourceParams(r=0.6), gamma=1.5, samples=1 << 15, mode=MODE_SHARED)
+        z = herald_z(np.stack([rep.counts for rep in run_experiment(p).reps]), 0.6, 1.5)
+        assert np.abs(z).max() <= Z_MAX, z
+
+    def test_grid_through_reduce(self):
+        # every point's per-context counts and its shared-pass counts
+        points = [(0.0, 1.2), (0.6, 1.2), (0.9, 2.0)]
+        plans = [plan(source=SourceParams(r=r), gamma=g, samples=1 << 14) for r, g in points]
+        reduced = _reduce(plans, _count_tasks(plans) | _shared_tasks(plans), workers=2)
+        for (r, g), point in zip(points, reduced):
+            for counts, acc in point:
+                for c in (counts, acc.counts):
+                    z = herald_z(c, r, g)
+                    assert np.abs(z).max() <= Z_MAX, (r, g, z)
 
 
 class TestCountInvariant:

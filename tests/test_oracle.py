@@ -9,7 +9,7 @@ from lgwave.oracle import (
     predicted_stats,
     type_weight_sums,
 )
-from lgwave.stats import MINUS, PLUS, marginal_12
+from lgwave.stats import marginal_12
 
 IDEAL = OpticalParams(t1=0.5, t2=0.75, t3=0.75, theta1=0.0, theta2=0.0)
 
@@ -110,29 +110,30 @@ class TestTypeWeightSums:
 class TestPredictedPmfs:
     def test_t1t3_cells(self):
         p13, _, _ = predicted_pmfs(IDEAL)
-        assert p13[(PLUS, PLUS)] == pytest.approx(0.125, abs=1e-12)
-        assert p13[(PLUS, MINUS)] == pytest.approx(0.375, abs=1e-12)
-        assert p13[(MINUS, PLUS)] == pytest.approx(0.375, abs=1e-12)
-        assert p13[(MINUS, MINUS)] == pytest.approx(0.125, abs=1e-12)
+        # cells by position: index 0 is the outcome +1, index 1 is -1
+        assert p13[0, 0] == pytest.approx(0.125, abs=1e-12)
+        assert p13[0, 1] == pytest.approx(0.375, abs=1e-12)
+        assert p13[1, 0] == pytest.approx(0.375, abs=1e-12)
+        assert p13[1, 1] == pytest.approx(0.125, abs=1e-12)
 
     def test_joint_cell_is_path_product(self):
         _, _, p3 = predicted_pmfs(IDEAL)
-        assert p3[(PLUS, MINUS, MINUS)] == pytest.approx(0.5 * 0.25 * 0.75, abs=1e-12)
+        assert p3[0, 1, 1] == pytest.approx(0.5 * 0.25 * 0.75, abs=1e-12)
 
     def test_t1t2_marginal_cells(self):
         _, _, p3 = predicted_pmfs(IDEAL)
         p12 = marginal_12(p3)
-        assert p12[(PLUS, PLUS)] == pytest.approx(0.375, abs=1e-12)
-        assert p12[(PLUS, MINUS)] == pytest.approx(0.125, abs=1e-12)
-        assert p12[(MINUS, PLUS)] == pytest.approx(0.125, abs=1e-12)
-        assert p12[(MINUS, MINUS)] == pytest.approx(0.375, abs=1e-12)
+        assert p12[0, 0] == pytest.approx(0.375, abs=1e-12)
+        assert p12[0, 1] == pytest.approx(0.125, abs=1e-12)
+        assert p12[1, 0] == pytest.approx(0.125, abs=1e-12)
+        assert p12[1, 1] == pytest.approx(0.375, abs=1e-12)
 
     def test_pmfs_normalized(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             p13, p23, p3 = predicted_pmfs(random_optics(rng))
             for pmf in (p13, p23, p3):
-                assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
+                assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPredictedStats:

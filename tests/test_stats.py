@@ -1,17 +1,22 @@
-from itertools import product
-
 import numpy as np
 import pytest
 
-from lgwave.harness import MODE_SHARED, N_HERALD, OPEN, ExperimentPlan, counterfactual_chunks
+from lgwave.harness import (
+    MODE_SHARED,
+    N_HERALD,
+    OPEN,
+    STANDARD_CONTEXT_TABLE,
+    T1T2T3_MM,
+    T1T2T3_PP,
+    ExperimentPlan,
+    counterfactual_chunks,
+)
 from lgwave.optics import SourceParams
 from lgwave.stats import (
     MINUS,
     PLUS,
     EfficiencyAccumulator,
     NoHeralds,
-    Pmf2,
-    Pmf3,
     ZeroCoincidences,
     correlation,
     k_statistic,
@@ -24,16 +29,16 @@ from lgwave.stats import (
     w_statistic,
 )
 
-KEYS2 = list(product((PLUS, MINUS), repeat=2))
-KEYS3 = list(product((PLUS, MINUS), repeat=3))
+# A PMF has one axis per time; along each, index 0 is +1 and index 1 is -1.
+# Index cells by position: p[PLUS, MINUS] would read p[1, -1], the (-,-) cell.
 
 
 def uniform2():
-    return Pmf2({k: 0.25 for k in KEYS2})
+    return np.full((2, 2), 0.25)
 
 
 def uniform3():
-    return Pmf3({k: 0.125 for k in KEYS3})
+    return np.full((2, 2, 2), 0.125)
 
 
 def counts(n_plus=0, n_minus=0, n_herald=None, n_double=0, n_total=1000):
@@ -44,40 +49,47 @@ def counts(n_plus=0, n_minus=0, n_herald=None, n_double=0, n_total=1000):
 
 
 def random_pmf3(rng):
-    p = rng.dirichlet(np.ones(8))
-    return Pmf3(dict(zip(KEYS3, p)))
+    return rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
 
 
 class TestPmfConstruction:
     def test_pmf2_uniform(self):
         p = pmf2_from_counts(counts(1, 1), counts(1, 1))
-        assert all(abs(p[k] - 0.25) < 1e-15 for k in KEYS2)
+        assert all(abs(p[k] - 0.25) < 1e-15 for k in np.ndindex(2, 2))
 
     def test_pmf2_asymmetric(self):
         p = pmf2_from_counts(counts(3, 1), counts(0, 0, n_herald=5))
-        assert p[(PLUS, PLUS)] == 0.75
-        assert p[(PLUS, MINUS)] == 0.25
-        assert p[(MINUS, PLUS)] == 0.0
-        assert p[(MINUS, MINUS)] == 0.0
+        assert p[0, 0] == 0.75
+        assert p[0, 1] == 0.25
+        assert p[1, 0] == 0.0
+        assert p[1, 1] == 0.0
+
+    def test_layout_index_0_is_plus(self):
+        # Row 0 is the q_i = + context, column 0 its n_plus: cells by position.
+        p = pmf2_from_counts(counts(3, 1), counts(0, 0, n_herald=5))
+        assert p.shape == (2, 2) and p.dtype == np.float64
+        assert p.tolist() == [[0.75, 0.25], [0.0, 0.0]]
+        # pmf3_from_counts reads the two-blocker rows as (q1, q2) in this order
+        labels = [(q1, q2) for _, q1, q2 in STANDARD_CONTEXT_TABLE[T1T2T3_PP : T1T2T3_MM + 1]]
+        assert labels == [(PLUS, PLUS), (PLUS, MINUS), (MINUS, PLUS), (MINUS, MINUS)]
 
     def test_pmf2_zero_coincidences(self):
         with pytest.raises(ZeroCoincidences):
             pmf2_from_counts(counts(), counts())
 
     def test_pmf3_uniform(self):
-        c = {key: counts(2, 2) for key in KEYS2}
-        p = pmf3_from_counts(c)
-        assert all(abs(p[k] - 0.125) < 1e-15 for k in KEYS3)
+        p = pmf3_from_counts(np.stack([counts(2, 2)] * 4))
+        assert all(abs(p[k] - 0.125) < 1e-15 for k in np.ndindex(2, 2, 2))
 
     def test_pmf3_point_mass(self):
-        c = {key: counts() for key in KEYS2}
-        c[(PLUS, MINUS)] = counts(n_minus=7)
+        c = np.stack([counts()] * 4)
+        c[1] = counts(n_minus=7)  # the (+,-) context
         p = pmf3_from_counts(c)
-        assert p[(PLUS, MINUS, MINUS)] == 1.0
+        assert p[0, 1, 1] == 1.0
 
     def test_pmf3_zero_coincidences(self):
         with pytest.raises(ZeroCoincidences):
-            pmf3_from_counts({key: counts() for key in KEYS2})
+            pmf3_from_counts(np.stack([counts()] * 4))
 
     def test_normalization_exact(self):
         rng = np.random.default_rng(0)
@@ -86,27 +98,28 @@ class TestPmfConstruction:
             if vals.sum() == 0:
                 continue
             p = pmf2_from_counts(counts(*vals[:2]), counts(*vals[2:]))
-            assert abs(sum(p.values()) - 1.0) < 1e-12
+            assert abs(p.sum() - 1.0) < 1e-12
 
 
 class TestMarginals:
     def test_uniform(self):
         for marg in (marginal_12, marginal_13, marginal_23):
             p = marg(uniform3())
-            assert all(abs(p[k] - 0.25) < 1e-15 for k in KEYS2)
+            assert all(abs(p[k] - 0.25) < 1e-15 for k in np.ndindex(2, 2))
 
     def test_point_mass(self):
-        p3 = Pmf3({k: 1.0 if k == (PLUS, MINUS, MINUS) else 0.0 for k in KEYS3})
-        assert marginal_12(p3)[(PLUS, MINUS)] == 1.0
-        assert marginal_13(p3)[(PLUS, MINUS)] == 1.0
-        assert marginal_23(p3)[(MINUS, MINUS)] == 1.0
+        p3 = np.zeros((2, 2, 2))
+        p3[0, 1, 1] = 1.0  # (+,-,-)
+        assert marginal_12(p3)[0, 1] == 1.0
+        assert marginal_13(p3)[0, 1] == 1.0
+        assert marginal_23(p3)[1, 1] == 1.0
 
     def test_marginals_normalized(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             p3 = random_pmf3(rng)
             for marg in (marginal_12, marginal_13, marginal_23):
-                assert abs(sum(marg(p3).values()) - 1.0) < 1e-12
+                assert abs(marg(p3).sum() - 1.0) < 1e-12
 
 
 class TestCorrelationAndStatistics:
@@ -114,14 +127,13 @@ class TestCorrelationAndStatistics:
         assert correlation(uniform2()) == 0.0
 
     def test_diagonal_correlation(self):
-        p = Pmf2({(PLUS, PLUS): 0.5, (MINUS, MINUS): 0.5,
-                  (PLUS, MINUS): 0.0, (MINUS, PLUS): 0.0})
+        p = np.array([[0.5, 0.0], [0.0, 0.5]])
         assert correlation(p) == 1.0
 
     def test_correlation_bounded(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
-            p = Pmf2(dict(zip(KEYS2, rng.dirichlet(np.ones(4)))))
+            p = rng.dirichlet(np.ones(4)).reshape(2, 2)
             assert -1.0 <= correlation(p) <= 1.0
 
     def test_k_uniform(self):
@@ -141,7 +153,8 @@ class TestMarginalLg:
             assert w_marg <= 1e-12
 
     def test_boundary_point_mass(self):
-        p3 = Pmf3({k: 1.0 if k == (PLUS, PLUS, PLUS) else 0.0 for k in KEYS3})
+        p3 = np.zeros((2, 2, 2))
+        p3[0, 0, 0] = 1.0  # (+,+,+)
         k_marg, w_marg = marginal_lg(p3)
         assert abs(k_marg - 1.0) < 1e-12
         assert abs(w_marg) < 1e-12
