@@ -1,8 +1,9 @@
 """Command-line driver: full runs, parameter sweeps, oracle reports.
 
-Configuration is a single flat JSON document; every flag overrides the
-matching key.  Outputs are batch artifacts: a JSON summary plus a CSV of
-raw counts for `run`, a plotter-ready CSV for `sweep`.
+Every setting is one RunConfig field, given as a flag or as a key of a
+single flat JSON config file; a flag overrides the matching key.  Outputs
+are batch artifacts: a JSON summary plus a CSV of raw counts for `run`, a
+plotter-ready CSV for `sweep`.
 """
 
 from __future__ import annotations
@@ -40,42 +41,63 @@ class InvalidConfig(ValueError):
     pass
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
+# Per RunConfig annotation: the parser of a flag's text, and the JSON types a
+# config value may have (booleans never count as numbers).
+_TYPES = {
+    "float": (float, (int, float)),
+    "int": (int, int),
+    "str": (str, str),
+    "list[float]": (_float_list, list),
+}
+
+
+def _setting(default, help: str, choices: list[str] | None = None):
+    """A RunConfig field: its default, and the help text and choices of its flag."""
+    metadata = {"help": help, "choices": choices}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    r: float = 0.3
-    gamma: float = 2.0
-    t1: float = 0.5
-    t2: float = 0.75
-    t3: float = 0.75
-    theta1: float = 0.0
-    theta2: float = 0.0
-    samples: int = 1 << 20
-    reps: int = 30
-    seed: int = 0
-    mode: str = MODE_INDEPENDENT
-    sweep_r: list[float] = field(
-        default_factory=lambda: [round(0.1 * i, 1) for i in range(11)]
+    """Every setting, declared once.  Each field is a config key and a flag
+    (--name, dashes for underscores; sweep_* on `sweep` only) typed by its
+    annotation (_TYPES); optics() and plan() pass it to the parameter
+    dataclass field of its name, whose default it mirrors."""
+
+    r: float = _setting(0.3, "squeezing strength")
+    gamma: float = _setting(ExperimentPlan.gamma, "detection threshold")
+    t1: float = _setting(OpticalParams.t1, "transmittance of beam splitter 1")
+    t2: float = _setting(OpticalParams.t2, "transmittance of beam splitter 2")
+    t3: float = _setting(OpticalParams.t3, "transmittance of beam splitter 3")
+    theta1: float = _setting(OpticalParams.theta1, "phase delay after beam splitter 1")
+    theta2: float = _setting(OpticalParams.theta2, "phase delay after beam splitter 2")
+    samples: int = _setting(ExperimentPlan.samples, "realizations per context")
+    reps: int = _setting(ExperimentPlan.reps, "experiment repetitions")
+    seed: int = _setting(ExperimentPlan.seed, "seed of every random stream")
+    mode: str = _setting(ExperimentPlan.mode, "draw mode", [MODE_INDEPENDENT, MODE_SHARED])
+    out: str = _setting(".", "output directory")
+    sweep_r: list[float] = _setting(
+        [round(0.1 * i, 1) for i in range(11)], "comma-separated r values"
     )
-    sweep_gamma: list[float] = field(default_factory=lambda: [1.5, 2.0])
-    out: str = "."
+    sweep_gamma: list[float] = _setting([1.5, 2.0], "comma-separated gamma values")
+
+    def _params(self, cls, **given):
+        """Parameter dataclass `cls` from `given` and this config's fields."""
+        own = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
+        return cls(**own, **given)
 
     def optics(self) -> OpticalParams:
-        return OpticalParams(
-            t1=self.t1, t2=self.t2, t3=self.t3, theta1=self.theta1, theta2=self.theta2
-        )
+        return self._params(OpticalParams)
 
     def plan(self, **overrides) -> ExperimentPlan:
-        kwargs = dict(
-            source=SourceParams(r=self.r),
-            optics=self.optics(),
-            gamma=self.gamma,
-            samples=self.samples,
-            reps=self.reps,
-            mode=self.mode,
-            seed=self.seed,
-        )
-        kwargs.update(overrides)
-        return ExperimentPlan(**kwargs)
+        parts = {"source": self._params(SourceParams), "optics": self.optics()}
+        return self._params(ExperimentPlan, **{**parts, **overrides})
 
 
 def sweep_plans(cfg: RunConfig) -> list[ExperimentPlan]:
@@ -88,12 +110,10 @@ def sweep_plans(cfg: RunConfig) -> list[ExperimentPlan]:
 
 
 def _json_type_ok(value, annotation: str) -> bool:
-    """Whether a config-file value has the JSON type of a RunConfig field
-    annotated `annotation`; booleans do not count as numbers."""
+    """Whether a config-file value has the JSON type of annotation `annotation`."""
     if annotation == "list[float]":
         return isinstance(value, list) and all(_json_type_ok(v, "float") for v in value)
-    kinds = {"float": (int, float), "int": int, "str": str}[annotation]
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    return isinstance(value, _TYPES[annotation][1]) and not isinstance(value, bool)
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -143,8 +163,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path]:
+def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, made before any sampling so a bad `out` fails fast."""
+    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path]:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
@@ -167,8 +193,9 @@ def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args)
+    out_dir = _out_dir(cfg)
     result = run_experiment(cfg.plan())
-    json_path, csv_path = write_run_outputs(cfg, result, Path(cfg.out))
+    json_path, csv_path = write_run_outputs(cfg, result, out_dir)
     s = result.summary
     for name in ("K", "W", "eta_t3", "eta_t1t3", "eta_t2t3", "eta_t1t2t3"):
         print(f"{name} = {s[name]['mean']:.4f} +/- {s[name]['std']:.4f}")
@@ -188,10 +215,9 @@ def write_sweep_csv(plans: list[ExperimentPlan], kw: list, path: Path) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args)
+    out_dir = _out_dir(cfg)
     plans = sweep_plans(cfg)
     kw = run_kw_only(plans)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
     write_sweep_csv(plans, kw, path)
     print(f"wrote {path} ({len(plans)} rows)")
@@ -223,9 +249,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out is not None:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "oracle.json").write_text(text + "\n", encoding="utf-8")
+        (_out_dir(cfg) / "oracle.json").write_text(text + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -244,49 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    commands = (
+        ("run", "run the full nine-context experiment", cmd_run),
+        ("sweep", "K/W over a grid of (r, gamma)", cmd_sweep),
+        ("oracle", "closed-form quantum predictions", cmd_oracle),
+    )
+    for name, help, func in commands:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--r", type=float, help="squeezing strength")
-        p.add_argument("--gamma", type=float, help="detection threshold")
-        p.add_argument("--t1", type=float)
-        p.add_argument("--t2", type=float)
-        p.add_argument("--t3", type=float)
-        p.add_argument("--theta1", type=float)
-        p.add_argument("--theta2", type=float)
-        p.add_argument("--samples", type=int, help="realizations per context")
-        p.add_argument("--reps", type=int, help="experiment repetitions")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=[MODE_INDEPENDENT, MODE_SHARED])
-        p.add_argument("--out", help="output directory")
-
-    p_run = sub.add_parser("run", help="run the full nine-context experiment")
-    add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="K/W over a grid of (r, gamma)")
-    add_common(p_sweep)
-    p_sweep.add_argument(
-        "--sweep-r", dest="sweep_r", type=_float_list, help="comma-separated r values"
-    )
-    p_sweep.add_argument(
-        "--sweep-gamma",
-        dest="sweep_gamma",
-        type=_float_list,
-        help="comma-separated gamma values",
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_oracle = sub.add_parser("oracle", help="closed-form quantum predictions")
-    add_common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
+        for f in fields(RunConfig):
+            if name == "sweep" or not f.name.startswith("sweep_"):
+                flag = "--" + f.name.replace("_", "-")
+                p.add_argument(flag, type=_TYPES[f.type][0], **f.metadata)
+        p.set_defaults(func=func)
 
     p_ctx = sub.add_parser("contexts", help="list the nine blocker configurations")
     p_ctx.set_defaults(func=cmd_contexts)
     return parser
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from classical_reference import Z_MAX, herald_z
+from classical_reference import Z_MAX, count_z
 from lgwave.experiment import run_experiment, run_kw_only
 from lgwave.harness import ExperimentPlan
 from lgwave.optics import OpticalParams, SourceParams, norm, sample_hidden, SIGMA
@@ -205,8 +205,12 @@ def test_10_physics_micro_oracles():
 
 def test_11_herald_rate(default_result):
     # every context and rep of the fixture (r = 0.3, gamma = 2) against the
-    # closed-form herald rate
+    # closed-form herald rate and the rates of clicks at D2 and at D3
     counts = np.stack([rep.counts for rep in default_result.reps])
-    z = herald_z(counts, 0.3, 2.0)
-    worst = float(np.abs(z).max())
-    check("11 herald rate", worst <= Z_MAX, f"max |z| of n_herald={worst:.2f} over {z.size} rows")
+    worst = np.abs(count_z(counts, 0.3, 2.0)).max(axis=(0, 1))
+    check(
+        "11 herald rate",
+        worst.max() <= Z_MAX,
+        "max |z| of n_herald={:.2f}, n_plus+n_double={:.2f}, n_minus+n_double={:.2f} "
+        "over {} rows".format(*worst, len(counts) * counts.shape[1]),
+    )

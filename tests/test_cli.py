@@ -1,17 +1,19 @@
+import argparse
 import contextlib
 import io
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgwave import experiment
-from lgwave.cli import RunConfig, main
-from lgwave.harness import N_HERALD, N_TOTAL, run_context
+from lgwave import cli, experiment
+from lgwave.cli import RunConfig, build_parser, load_config, main
+from lgwave.harness import N_HERALD, N_TOTAL, ExperimentPlan, run_context
+from lgwave.optics import OpticalParams, SourceParams
 
 DATA = Path(__file__).parent / "data"
 
@@ -130,6 +132,19 @@ class TestRun:
         assert doc["config"]["reps"] == 2
         assert doc["config"]["samples"] == 4096
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unusable_out_fails_before_sampling(self, command, tmp_path, monkeypatch, capsys):
+        def sample(*args):
+            raise AssertionError("sampled before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_experiment", sample)
+        monkeypatch.setattr(cli, "run_kw_only", sample)
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        argv = [command, "--samples", "8192", "--reps", "2", "--gamma", "1.2"]
+        assert run_cli([*argv, "--out", str(not_a_dir / "x")]) == 3
+        assert "lgwave: error [io-error]" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sample": 4096}))
@@ -198,6 +213,74 @@ class TestSweep:
             ]) == 1
             err = capsys.readouterr().err
             assert "[no-statistics] r=0.5, gamma=50.0: all four coincidence" in err, mode
+
+
+# A valid value other than the default for every RunConfig field.
+SETTING_VALUES = {
+    "r": 0.7, "gamma": 1.25, "t1": 0.25, "t2": 0.5, "t3": 0.625, "theta1": 0.4,
+    "theta2": -0.9, "samples": 4096, "reps": 3, "seed": 11, "mode": "shared-draws",
+    "sweep_r": [0.2, 0.4], "sweep_gamma": [1.1], "out": "elsewhere",
+}
+# The settings whose parameter dataclass gives them no default.
+UNMIRRORED = {"r", "sweep_r", "sweep_gamma", "out"}
+SETTINGS = [pytest.param(f, id=f.name) for f in fields(RunConfig)]
+COMMANDS = ("run", "sweep", "oracle", "contexts")
+
+
+def flag(f):
+    return "--" + f.name.replace("_", "-")
+
+
+def commands_of(f):
+    """The subcommands that take setting f as a flag."""
+    return ("sweep",) if f.name.startswith("sweep_") else ("run", "sweep", "oracle")
+
+
+def flags_of(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[command]._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+class TestSettingsTable:
+    """Each RunConfig field is one setting: a flag on its subcommands and a
+    config key that give the same value, and a default that mirrors the
+    parameter dataclass the field is passed to."""
+
+    @pytest.mark.parametrize("f", SETTINGS)
+    def test_flag_and_config_key_agree(self, f, tmp_path):
+        value = SETTING_VALUES[f.name]
+        text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+        command = commands_of(f)[0]
+        from_flag = load_config(build_parser().parse_args([command, flag(f), text]))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({f.name: value}))
+        from_key = load_config(build_parser().parse_args([command, "--config", str(path)]))
+        assert from_flag == from_key
+        assert getattr(from_key, f.name) == value != getattr(RunConfig(), f.name)
+
+    @pytest.mark.parametrize("f", SETTINGS)
+    def test_flag_on_its_commands_only(self, f):
+        for command in COMMANDS:
+            assert (flag(f) in flags_of(command)) == (command in commands_of(f)), command
+
+    @pytest.mark.parametrize("f", SETTINGS)
+    def test_default_mirrors_the_parameters(self, f):
+        defaults = {
+            g.name: g.default
+            for cls in (SourceParams, OpticalParams, ExperimentPlan)
+            for g in fields(cls)
+            if g.default is not MISSING
+        }
+        if f.name in UNMIRRORED:
+            assert f.name not in defaults
+        else:
+            assert getattr(RunConfig(), f.name) == defaults[f.name]
+
+    def test_commands_parse_only_config_and_setting_flags(self):
+        for command in COMMANDS:
+            settings = {flag(f) for f in fields(RunConfig) if command in commands_of(f)}
+            expected = {"--config"} | settings if settings else set()
+            assert flags_of(command) == expected, command
 
 
 # Small sizes keep a row fast should validation ever let it through to a run.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classical_reference import Z_MAX, herald_z
+from classical_reference import Z_MAX, count_z
 from lgwave.experiment import (
     SUMMARY_STATS,
     InvariantViolation,
@@ -143,11 +143,12 @@ class TestRunKwOnly:
 
 
 class TestHeraldRate:
-    """n_herald against the closed-form herald rate, |z| <= Z_MAX per row."""
+    """n_herald, n_plus + n_double and n_minus + n_double against their
+    closed-form rates, |z| <= Z_MAX per row."""
 
     def test_shared_draws_run(self):
         p = plan(source=SourceParams(r=0.6), gamma=1.5, samples=1 << 15, mode=MODE_SHARED)
-        z = herald_z(np.stack([rep.counts for rep in run_experiment(p).reps]), 0.6, 1.5)
+        z = count_z(np.stack([rep.counts for rep in run_experiment(p).reps]), 0.6, 1.5)
         assert np.abs(z).max() <= Z_MAX, z
 
     def test_grid_through_reduce(self):
@@ -158,7 +159,7 @@ class TestHeraldRate:
         for (r, g), point in zip(points, reduced):
             for counts, acc in point:
                 for c in (counts, acc.counts):
-                    z = herald_z(c, r, g)
+                    z = count_z(c, r, g)
                     assert np.abs(z).max() <= Z_MAX, (r, g, z)
 
 
