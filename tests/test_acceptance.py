@@ -205,12 +205,11 @@ def test_10_physics_micro_oracles():
 
 def test_11_herald_rate(default_result):
     # every context and rep of the fixture (r = 0.3, gamma = 2) against the
-    # closed-form herald rate and the rates of clicks at D2 and at D3
+    # closed-form rates of heralds and of clicks at D2 and at D3
     counts = np.stack([rep.counts for rep in default_result.reps])
     worst = np.abs(count_z(counts, 0.3, 2.0)).max(axis=(0, 1))
-    check(
-        "11 herald rate",
-        worst.max() <= Z_MAX,
-        "max |z| of n_herald={:.2f}, n_plus+n_double={:.2f}, n_minus+n_double={:.2f} "
-        "over {} rows".format(*worst, len(counts) * counts.shape[1]),
-    )
+    names = ("n_herald", "n_plus+n_double", "n_minus+n_double")
+    detail = ", ".join(f"{name}={z:.2f}" for name, z in zip(names, worst))
+    rows = counts.shape[0] * counts.shape[1]
+    ok = worst.max() <= Z_MAX
+    check("11 herald and exit rates", ok, f"max |z| of {detail} over {rows} rows")
