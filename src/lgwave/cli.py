@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import InvariantViolation, default_workers, run_experiment, run_kw_only
-from .stats import NoHeralds, ZeroCoincidences, marginal_12
+from .stats import ZeroCoincidences, marginal_12
 from .harness import (
     CONTEXT_BITS,
     COUNT_COLUMNS,
@@ -100,6 +100,12 @@ class RunConfig:
         return self._params(ExperimentPlan, **{**parts, **overrides})
 
 
+def _command_settings(command: str) -> list:
+    """The RunConfig fields `command` takes, each as a flag and as a config
+    key: all of them on `sweep`, all but the sweep_* grid elsewhere."""
+    return [f for f in fields(RunConfig) if command == "sweep" or not f.name.startswith("sweep_")]
+
+
 def sweep_plans(cfg: RunConfig) -> list[ExperimentPlan]:
     """The plan of every sweep grid point, in sweep.csv row order."""
     return [
@@ -135,7 +141,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidConfig(
                 f"config file must hold a JSON object, not {type(doc).__name__}"
             )
-        types = {f.name: f.type for f in fields(RunConfig)}
+        types = {f.name: f.type for f in _command_settings(args.command)}
         unknown = set(doc) - set(types)
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
@@ -170,13 +176,12 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out_dir
 
 
-def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path]:
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "summary": result.summary,
-        "per_rep": [r.stats for r in result.reps],
-    }
+def write_run_outputs(
+    cfg: RunConfig, counts: np.ndarray, report: dict, out_dir: Path
+) -> tuple[Path, Path]:
+    """summary.json from run_experiment's report and counts.csv from its
+    (reps, 9, 5) counts."""
+    summary = {"schema_version": SCHEMA_VERSION, "config": asdict(cfg), **report}
     json_path = out_dir / "summary.json"
     json_path.write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -184,8 +189,8 @@ def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path
 
     csv_path = out_dir / "counts.csv"
     lines = [",".join(("rep", "context_bits", *COUNT_COLUMNS))]
-    for rep, r in enumerate(result.reps):
-        for bits, row in zip(CONTEXT_BITS, r.counts.tolist()):
+    for rep, rows in enumerate(counts.tolist()):
+        for bits, row in zip(CONTEXT_BITS, rows):
             lines.append(",".join(map(str, (rep, bits, *row))))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return json_path, csv_path
@@ -194,9 +199,9 @@ def write_run_outputs(cfg: RunConfig, result, out_dir: Path) -> tuple[Path, Path
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     out_dir = _out_dir(cfg)
-    result = run_experiment(cfg.plan())
-    json_path, csv_path = write_run_outputs(cfg, result, out_dir)
-    s = result.summary
+    counts, report = run_experiment(cfg.plan())
+    json_path, csv_path = write_run_outputs(cfg, counts, report, out_dir)
+    s = report["summary"]
     for name in ("K", "W", "eta_t3", "eta_t1t3", "eta_t2t3", "eta_t1t2t3"):
         print(f"{name} = {s[name]['mean']:.4f} +/- {s[name]['std']:.4f}")
     print(f"wrote {json_path} and {csv_path}")
@@ -276,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help, func in commands:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat JSON config file")
-        for f in fields(RunConfig):
-            if name == "sweep" or not f.name.startswith("sweep_"):
-                flag = "--" + f.name.replace("_", "-")
-                p.add_argument(flag, type=_TYPES[f.type][0], **f.metadata)
+        for f in _command_settings(name):
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=_TYPES[f.type][0], **f.metadata)
         p.set_defaults(func=func)
 
     p_ctx = sub.add_parser("contexts", help="list the nine blocker configurations")
@@ -295,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidConfig as e:
         print(f"lgwave: error [invalid-config] {e}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-    except (ZeroCoincidences, NoHeralds) as e:
+    except ZeroCoincidences as e:
         print(f"lgwave: error [no-statistics] {e}", file=sys.stderr)
         return EXIT_ERROR
     except InvariantViolation as e:

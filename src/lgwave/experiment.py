@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,21 +64,6 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass
-class RepResult:
-    """One repetition: its nine contexts' (9, 5) counts and its statistics,
-    keyed as in a summary.json per-rep entry."""
-
-    counts: np.ndarray
-    stats: dict
-
-
-@dataclass
-class ExperimentResult:
-    reps: list[RepResult]
-    summary: dict[str, dict[str, float]]
-
-
 # Per-rep statistics summarized as (mean, std); the delta_* entries follow.
 SUMMARY_STATS = (
     "K", "W", "C12", "C23", "C13", "K_marginal", "W_marginal",
@@ -92,10 +77,10 @@ def _mean_std(values: list[float]) -> dict[str, float]:
     return {"mean": float(arr.mean()), "std": std}
 
 
-def _summarize(reps: list[RepResult]) -> dict[str, dict[str, float]]:
-    summary = {name: _mean_std([r.stats[name] for r in reps]) for name in SUMMARY_STATS}
-    for bits in reps[0].stats["delta"]:
-        summary["delta_" + bits] = _mean_std([r.stats["delta"][bits] for r in reps])
+def _summarize(per_rep: list[dict]) -> dict[str, dict[str, float]]:
+    summary = {name: _mean_std([s[name] for s in per_rep]) for name in SUMMARY_STATS}
+    for bits in per_rep[0]["delta"]:
+        summary["delta_" + bits] = _mean_std([s["delta"][bits] for s in per_rep])
     return summary
 
 
@@ -162,8 +147,8 @@ def _count_tasks(plans: list[ExperimentPlan]) -> dict:
 
 def _reduce(plans: list[ExperimentPlan], tasks: dict, workers: int | None) -> list:
     """Run every task (fn, *args) on the thread pool and reduce the results
-    in a fixed order: [grid point][rep] -> (its (9, 5) counts, its merged
-    shared-pass accumulator, empty if no shared pass ran)."""
+    in a fixed order: [grid point] -> (its (reps, 9, 5) counts, its merged
+    shared-pass accumulator per rep, empty if no shared pass ran)."""
     if workers is None:
         workers = default_workers()
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -171,38 +156,41 @@ def _reduce(plans: list[ExperimentPlan], tasks: dict, workers: int | None) -> li
         results = {key: fut.result() for key, fut in futs.items()}
     plan = plans[0]
 
-    def counts_and_acc(i: int, rep: int):
-        acc = EfficiencyAccumulator()
-        for c in range(plan.n_chunks()):
-            if ("shared", rep, c) in results:
-                acc.merge(results[("shared", rep, c)][i])
+    def counts_and_accs(i: int):
+        accs = [EfficiencyAccumulator() for _ in range(plan.reps)]
+        for rep, acc in enumerate(accs):
+            for c in range(plan.n_chunks()):
+                if ("shared", rep, c) in results:
+                    acc.merge(results[("shared", rep, c)][i])
         if plan.mode == MODE_SHARED:
-            return acc.counts, acc
-        return np.stack([results[(rep, j)][i] for j in range(len(STANDARD_CONTEXT_TABLE))]), acc
+            return np.stack([acc.counts for acc in accs]), accs
+        contexts = range(len(STANDARD_CONTEXT_TABLE))
+        counts = [[results[(rep, j)][i] for j in contexts] for rep in range(plan.reps)]
+        return np.array(counts), accs
 
-    return [[counts_and_acc(i, rep) for rep in range(plan.reps)] for i in range(len(plans))]
+    return [counts_and_accs(i) for i in range(len(plans))]
 
 
-def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> ExperimentResult:
-    """Run all repetitions of the nine-context experiment.
+def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> tuple[np.ndarray, dict]:
+    """Run all repetitions of the nine-context experiment: the (reps, 9, 5)
+    counts, and the summary.json entries "summary" and "per_rep".
 
     In independent-draws mode the PMF statistics come from per-context
     streams and a shared-draw pass supplies the counterfactual efficiency
     report; in shared-draws mode the shared pass supplies both.
     """
     plans = [plan]
-    [point] = _reduce(plans, _count_tasks(plans) | _shared_tasks(plans), workers)
-    reps: list[RepResult] = []
-    for rep, (counts, acc) in enumerate(point):
+    [(counts, accs)] = _reduce(plans, _count_tasks(plans) | _shared_tasks(plans), workers)
+    per_rep = []
+    for rep, (c, acc) in enumerate(zip(counts, accs)):
         eff = acc.report()
-        stats = {
+        per_rep.append({
             "rep": rep,
-            **_lg_stats(counts),
+            **_lg_stats(c),
             **eff,
             "w_decomposition": w_decomposition(acc.counts, eff),
-        }
-        reps.append(RepResult(counts, stats))
-    return ExperimentResult(reps=reps, summary=_summarize(reps))
+        })
+    return counts, {"summary": _summarize(per_rep), "per_rep": per_rep}
 
 
 def run_kw_only(plans: list[ExperimentPlan], workers: int | None = None):
@@ -221,9 +209,9 @@ def run_kw_only(plans: list[ExperimentPlan], workers: int | None = None):
         if replace(p, source=plans[0].source, gamma=plans[0].gamma) != plans[0]:
             raise ValueError("grid plans may differ only in source and gamma")
     kw = []
-    for p, point in zip(plans, _reduce(plans, _count_tasks(plans), workers)):
+    for p, (counts, _) in zip(plans, _reduce(plans, _count_tasks(plans), workers)):
         try:
-            stats = [_lg_stats(counts) for counts, _ in point]
+            stats = [_lg_stats(c) for c in counts]
         except (ZeroCoincidences, InvariantViolation) as e:
             raise type(e)(f"r={p.source.r}, gamma={p.gamma}: {e}") from e
         kw.append((_mean_std([s["K"] for s in stats]), _mean_std([s["W"] for s in stats])))

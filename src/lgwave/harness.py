@@ -53,9 +53,10 @@ CHUNK = 1 << 16
 # The detection kernel draws and evaluates a chunk in blocks of ROW_BLOCK
 # realizations, read in order from the chunk's one generator.  That keeps the
 # draws and the temporaries in cache, and no chunk of normals is ever held.
-# It multiplies stacks of GEMM_ROWS-row matrices: at 64 x 28 x 76 every
-# product stays below OpenBLAS's single-thread cut-off (m*n*k < 262,144), so
-# no BLAS threads start beside the worker pool's.
+# It multiplies stacks of GEMM_ROWS-row matrices, whose rounding the golden
+# counts pin (tests/test_harness.py, TestBlasFacts).  The package pins
+# OpenBLAS to one thread on import (lgwave/__init__.py), so no BLAS thread
+# starts beside the worker pool's.
 ROW_BLOCK = 2048
 GEMM_ROWS = 64
 

@@ -8,8 +8,6 @@ term by term with the blocker bits attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .harness import (
@@ -28,20 +26,10 @@ from .optics import Context, OpticalParams
 from .stats import MINUS, PLUS, correlation, k_statistic, marginal_12, w_statistic
 
 
-@dataclass(frozen=True)
-class AmplitudePair:
-    """Amplitudes for a coincidence at the upper (+) and lower (-) exit."""
-
-    alpha_plus: complex
-    alpha_minus: complex
-
-    @property
-    def weights(self) -> tuple[float, float]:
-        return abs(self.alpha_plus) ** 2, abs(self.alpha_minus) ** 2
-
-
-def amplitudes(ctx: Context) -> AmplitudePair:
-    """Evaluate the four-term amplitude formulas for a blocker configuration."""
+def amplitudes(ctx: Context) -> tuple[complex, complex]:
+    """Evaluate the four-term amplitude formulas for a blocker configuration:
+    (alpha_plus, alpha_minus), the amplitudes for a coincidence at the upper
+    (+) and lower (-) exit."""
     b1, b2, b3, b4 = ctx.b
     o = ctx.optics
     t1, t2, t3 = o.t1, o.t2, o.t3
@@ -60,12 +48,12 @@ def amplitudes(ctx: Context) -> AmplitudePair:
         - b2 * b4 * np.sqrt(r1 * t2 * t3)
         - b1 * b4 * e1 * np.sqrt(t1 * r2 * t3)
     )
-    return AmplitudePair(complex(alpha_plus), complex(alpha_minus))
+    return complex(alpha_plus), complex(alpha_minus)
 
 
 def _weights(optics: OpticalParams) -> np.ndarray:
     """(|alpha+|^2, |alpha-|^2) of each standard context, one row each."""
-    return np.array([amplitudes(c).weights for c in standard_contexts(optics)])
+    return np.array([[abs(a) ** 2 for a in amplitudes(c)] for c in standard_contexts(optics)])
 
 
 def type_weight_sums(optics: OpticalParams) -> dict[str, float]:

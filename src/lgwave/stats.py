@@ -39,11 +39,8 @@ PLUS, MINUS = +1, -1
 
 
 class ZeroCoincidences(ValueError):
-    """All coincidence counts are zero (threshold too high or too few samples)."""
-
-
-class NoHeralds(ValueError):
-    """No herald detections; efficiencies are undefined."""
+    """All coincidence counts are zero (threshold too high or too few
+    samples); with no herald there is no coincidence either."""
 
 
 def _normalized(cells: np.ndarray, what: str) -> np.ndarray:
@@ -153,7 +150,7 @@ class EfficiencyAccumulator:
         as in a summary.json per-rep entry."""
         nh = int(self.counts[OPEN, N_HERALD])  # every context sees the same heralds
         if nh == 0:
-            raise NoHeralds("no herald detections in the shared-draw record")
+            raise ZeroCoincidences("no herald detections in the shared-draw record")
         coinc = (self.counts[:, N_PLUS] + self.counts[:, N_MINUS]).tolist()
         bound = lambda idx: float(sum(coinc[j] for j in idx)) / nh
         return {

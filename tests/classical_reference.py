@@ -86,7 +86,7 @@ def count_z(
     for counts of shape (..., 9, 5): n_herald, n_plus + n_double (clicks at
     D2, the + exit) and n_minus + n_double (clicks at D3, the - exit)."""
     p = np.array([
-        [coincidence_probability(r, gamma, w) for w in amplitudes(ctx).weights]
+        [coincidence_probability(r, gamma, abs(a) ** 2) for a in amplitudes(ctx)]
         for ctx in standard_contexts(optics)
     ])
     exits = counts[..., [N_PLUS, N_MINUS]] + counts[..., [N_DOUBLE]]

@@ -51,17 +51,17 @@ def default_result():
 
 
 def test_01_k_reproduction(default_result):
-    k = default_result.summary["K"]["mean"]
+    k = default_result[1]["summary"]["K"]["mean"]
     check("1 K reproduction", in_window(k, 1.37, 0.06), f"K_bar={k:.4f}")
 
 
 def test_02_w_reproduction(default_result):
-    w = default_result.summary["W"]["mean"]
+    w = default_result[1]["summary"]["W"]["mean"]
     check("2 W reproduction", in_window(w, 0.044, 0.012), f"W_bar={w:.4f}")
 
 
 def test_03_efficiencies(default_result):
-    s = default_result.summary
+    s = default_result[1]["summary"]
     targets = {
         "eta_t3": (0.0809, 0.002),
         "eta_t1t3": (0.0530, 0.002),
@@ -75,7 +75,7 @@ def test_03_efficiencies(default_result):
 
 
 def test_04_double_detections(default_result):
-    s = default_result.summary
+    s = default_result[1]["summary"]
     d_open = s["delta_1111"]["mean"]
     d_1101 = s["delta_1101"]["mean"]
     ok = in_window(d_open, 3.8e-4, 1.2e-4) and in_window(d_1101, 4.9e-4, 1.2e-4)
@@ -83,7 +83,7 @@ def test_04_double_detections(default_result):
 
 
 def test_05_lambda_set_distinctness(default_result):
-    diffs = [r.stats["sym_diff"] for r in default_result.reps]
+    diffs = [s["sym_diff"] for s in default_result[1]["per_rep"]]
     ok = all(all(v > 0 for v in d.values()) for d in diffs)
     check("5 lambda-set distinctness", ok, f"rep0 symmetric differences={diffs[0]}")
 
@@ -112,9 +112,9 @@ def test_07_marginal_identity_suite(default_result):
         k_marg, w_marg = marginal_lg(p3)
         worst_k = max(worst_k, k_marg)
         worst_w = max(worst_w, w_marg)
-    for rep in default_result.reps:
-        worst_k = max(worst_k, rep.stats["K_marginal"])
-        worst_w = max(worst_w, rep.stats["W_marginal"])
+    for s in default_result[1]["per_rep"]:
+        worst_k = max(worst_k, s["K_marginal"])
+        worst_w = max(worst_w, s["W_marginal"])
     ok = worst_k <= 1.0 + 1e-12 and worst_w <= 1e-12
     check("7 marginal identities", ok, f"max K_marginal={worst_k:.12f} max W_marginal={worst_w:.2e}")
 
@@ -206,7 +206,7 @@ def test_10_physics_micro_oracles():
 def test_11_herald_rate(default_result):
     # every context and rep of the fixture (r = 0.3, gamma = 2) against the
     # closed-form rates of heralds and of clicks at D2 and at D3
-    counts = np.stack([rep.counts for rep in default_result.reps])
+    counts = default_result[0]
     worst = np.abs(count_z(counts, 0.3, 2.0)).max(axis=(0, 1))
     names = ("n_herald", "n_plus+n_double", "n_minus+n_double")
     detail = ", ".join(f"{name}={z:.2f}" for name, z in zip(names, worst))

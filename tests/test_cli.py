@@ -264,6 +264,20 @@ class TestSettingsTable:
             assert (flag(f) in flags_of(command)) == (command in commands_of(f)), command
 
     @pytest.mark.parametrize("f", SETTINGS)
+    def test_config_key_on_the_commands_of_its_flag(self, f, tmp_path):
+        # a config key is accepted on exactly the commands that take its flag
+        value = SETTING_VALUES[f.name]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({f.name: value}))
+        for command in ("run", "sweep", "oracle"):
+            args = build_parser().parse_args([command, "--config", str(path)])
+            if flag(f) in flags_of(command):
+                assert getattr(load_config(args), f.name) == value, command
+            else:
+                with pytest.raises(cli.InvalidConfig, match="unknown config keys"):
+                    load_config(args)
+
+    @pytest.mark.parametrize("f", SETTINGS)
     def test_default_mirrors_the_parameters(self, f):
         defaults = {
             g.name: g.default
@@ -311,6 +325,8 @@ SMALL = ["--samples", "64", "--reps", "1"]
         pytest.param(["run", "--reps", "1"], "[" * 200_000 + "]" * 200_000, None,
                      id="config-deeply-nested"),
         pytest.param(["oracle", "--config", "a\x00b"], None, None, id="config-path-nul"),
+        pytest.param(["oracle"], '{"sweep_r": [0.5], "sweep_gamma": []}', None,
+                     id="config-sweep-keys-on-oracle"),
         pytest.param(["run", *SMALL], None, "abc", id="workers-not-integer"),
         pytest.param(["run", *SMALL], None, "0", id="workers-zero"),
         pytest.param(["run", *SMALL], None, "-3", id="workers-negative"),

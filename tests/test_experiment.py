@@ -48,29 +48,27 @@ class TestRunExperiment:
         r2 = run_experiment(p, workers=2)
         r8 = run_experiment(p, workers=8)
         for a, b in [(r1, r2), (r1, r8)]:
-            for ra, rb in zip(a.reps, b.reps):
-                assert np.array_equal(ra.counts, rb.counts)
-                assert ra.stats["K"] == rb.stats["K"] and ra.stats["W"] == rb.stats["W"]
-                assert ra.stats == rb.stats
+            assert np.array_equal(a[0], b[0])
+            for sa, sb in zip(a[1]["per_rep"], b[1]["per_rep"]):
+                assert sa["K"] == sb["K"] and sa["W"] == sb["W"]
+                assert sa == sb
 
     def test_shared_mode_uses_counterfactual_counts(self):
         p = plan(mode=MODE_SHARED)
-        res = run_experiment(p)
+        counts, _ = run_experiment(p)
         # all contexts see the same draws, so the herald column is shared
-        for rep in res.reps:
-            assert len(np.unique(rep.counts[:, N_HERALD])) == 1
+        for c in counts:
+            assert len(np.unique(c[:, N_HERALD])) == 1
 
     def test_marginal_bounds_on_simulated_data(self):
-        res = run_experiment(plan(samples=1 << 17, reps=3))
-        for rep in res.reps:
-            assert rep.stats["K_marginal"] <= 1.0 + 1e-12
-            assert rep.stats["W_marginal"] <= 1e-12
+        _, report = run_experiment(plan(samples=1 << 17, reps=3))
+        for s in report["per_rep"]:
+            assert s["K_marginal"] <= 1.0 + 1e-12
+            assert s["W_marginal"] <= 1e-12
 
     def test_simulated_pmf_near_quantum_prediction(self):
-        res = run_experiment(plan(samples=1 << 19, reps=2, seed=21))
-        p13_sim = pmf2_from_counts(
-            res.reps[0].counts[T1T3_PLUS], res.reps[0].counts[T1T3_MINUS]
-        )
+        counts, _ = run_experiment(plan(samples=1 << 19, reps=2, seed=21))
+        p13_sim = pmf2_from_counts(counts[0, T1T3_PLUS], counts[0, T1T3_MINUS])
         p13_qm, _, _ = predicted_pmfs(OpticalParams())
         for key in np.ndindex(2, 2):
             assert abs(p13_sim[key] - p13_qm[key]) < 0.06
@@ -78,24 +76,25 @@ class TestRunExperiment:
     def test_w_decomposition_marginal_nonpositive(self):
         # with the common joint PMF and common efficiency the marginal W
         # reduces to -(mu[E+(1001)] + mu[E-(0110)]) / mu[Lambda], <= 0
-        res = run_experiment(plan(samples=1 << 17, reps=2))
-        for rep in res.reps:
-            assert rep.stats["w_decomposition"]["w_marginal"] <= 1e-12
+        _, report = run_experiment(plan(samples=1 << 17, reps=2))
+        for s in report["per_rep"]:
+            assert s["w_decomposition"]["w_marginal"] <= 1e-12
 
     def test_summary_mean_std(self):
-        res = run_experiment(plan(reps=3))
-        ks = [r.stats["K"] for r in res.reps]
-        assert res.summary["K"]["mean"] == np.mean(ks)
-        assert abs(res.summary["K"]["std"] - np.std(ks, ddof=1)) < 1e-15
+        _, report = run_experiment(plan(reps=3))
+        summary, per_rep = report["summary"], report["per_rep"]
+        ks = [s["K"] for s in per_rep]
+        assert summary["K"]["mean"] == np.mean(ks)
+        assert abs(summary["K"]["std"] - np.std(ks, ddof=1)) < 1e-15
         # every summary entry is the (mean, std) of its per-rep value
-        assert set(res.summary) == set(SUMMARY_STATS) | {
+        assert set(summary) == set(SUMMARY_STATS) | {
             "delta_" + "".join(map(str, bits)) for bits, _, _ in STANDARD_CONTEXT_TABLE
         }
-        for key, ms in res.summary.items():
+        for key, ms in summary.items():
             if key.startswith("delta_"):
-                values = [r.stats["delta"][key[len("delta_"):]] for r in res.reps]
+                values = [s["delta"][key[len("delta_"):]] for s in per_rep]
             else:
-                values = [r.stats[key] for r in res.reps]
+                values = [s[key] for s in per_rep]
             assert ms["mean"] == np.mean(values)
             assert abs(ms["std"] - np.std(values, ddof=1)) < 1e-15
 
@@ -104,18 +103,18 @@ class TestRunKwOnly:
     def test_matches_full_driver(self):
         p = plan()
         [(k, w)] = run_kw_only([p])
-        res = run_experiment(p)
-        assert k["mean"] == res.summary["K"]["mean"]
-        assert w["mean"] == res.summary["W"]["mean"]
-        assert k == res.summary["K"]
-        assert w == res.summary["W"]
+        summary = run_experiment(p)[1]["summary"]
+        assert k["mean"] == summary["K"]["mean"]
+        assert w["mean"] == summary["W"]["mean"]
+        assert k == summary["K"]
+        assert w == summary["W"]
 
     def test_shared_mode_matches_run_experiment(self):
         p = plan(mode=MODE_SHARED)
         [(k, w)] = run_kw_only([p])
-        res = run_experiment(p)
-        assert k == res.summary["K"]
-        assert w == res.summary["W"]
+        summary = run_experiment(p)[1]["summary"]
+        assert k == summary["K"]
+        assert w == summary["W"]
 
     @pytest.mark.parametrize("mode", ["independent-draws", MODE_SHARED])
     def test_grid_matches_one_point_calls(self, mode):
@@ -148,7 +147,7 @@ class TestHeraldRate:
 
     def test_shared_draws_run(self):
         p = plan(source=SourceParams(r=0.6), gamma=1.5, samples=1 << 15, mode=MODE_SHARED)
-        z = count_z(np.stack([rep.counts for rep in run_experiment(p).reps]), 0.6, 1.5)
+        z = count_z(run_experiment(p)[0], 0.6, 1.5)
         assert np.abs(z).max() <= Z_MAX, z
 
     def test_grid_through_reduce(self):
@@ -156,11 +155,10 @@ class TestHeraldRate:
         points = [(0.0, 1.2), (0.6, 1.2), (0.9, 2.0)]
         plans = [plan(source=SourceParams(r=r), gamma=g, samples=1 << 14) for r, g in points]
         reduced = _reduce(plans, _count_tasks(plans) | _shared_tasks(plans), workers=2)
-        for (r, g), point in zip(points, reduced):
-            for counts, acc in point:
-                for c in (counts, acc.counts):
-                    z = count_z(c, r, g)
-                    assert np.abs(z).max() <= Z_MAX, (r, g, z)
+        for (r, g), (counts, accs) in zip(points, reduced):
+            for c in (counts, np.stack([acc.counts for acc in accs])):
+                z = count_z(c, r, g)
+                assert np.abs(z).max() <= Z_MAX, (r, g, z)
 
 
 class TestCountInvariant:

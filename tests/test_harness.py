@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +364,32 @@ class TestBlasFacts:
             y = _gather(x, rows, buf)
             assert len(y) % GEMM_ROWS == 0
             assert np.array_equal(_transfer(y, m)[:k], _transfer(x, m)[rows])
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+class TestBlasThreads:
+    """Importing lgwave pins OpenBLAS to the calling thread, unless the user
+    chose a thread count: every product already runs on the calling thread."""
+
+    PROBE = ("import os, lgwave.cli; "
+             "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+    def probe(self, **env):
+        """(threads after `import lgwave.cli`, its OPENBLAS_NUM_THREADS) in a
+        fresh interpreter with `env` and no inherited OPENBLAS_NUM_THREADS."""
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, base.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], env={**base, **env},
+                              capture_output=True, text=True, check=True)
+        threads, setting = proc.stdout.split()
+        return int(threads), setting
+
+    def test_one_thread_after_import(self):
+        assert self.probe() == (1, "1")
+
+    def test_user_setting_kept(self):
+        assert self.probe(OPENBLAS_NUM_THREADS="2")[1] == "2"
 
 
 class TestPlanValidation:

@@ -16,7 +16,6 @@ from lgwave.stats import (
     MINUS,
     PLUS,
     EfficiencyAccumulator,
-    NoHeralds,
     ZeroCoincidences,
     correlation,
     k_statistic,
@@ -186,7 +185,7 @@ class TestEfficiencies:
         assert report["delta"]["1111"] == 1.0
 
     def test_no_heralds(self):
-        with pytest.raises(NoHeralds):
+        with pytest.raises(ZeroCoincidences, match="no herald"):
             shared_report(shared_plan(samples=1 << 8, gamma=1e6))
 
     def test_direct_at_most_bound(self):
