@@ -17,16 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import InvariantViolation, default_workers, run_experiment, run_kw_only
-from .stats import ZeroCoincidences, marginal_12
+from .stats import MINUS, PLUS, ZeroCoincidences, marginal_12
 from .harness import (
     CONTEXT_BITS,
     COUNT_COLUMNS,
     MODE_INDEPENDENT,
     MODE_SHARED,
+    STANDARD_CONTEXT_TABLE,
     ExperimentPlan,
 )
 from .optics import OpticalParams, SourceParams
-from .oracle import context_labels, predicted_pmfs, predicted_stats, type_weight_sums
+from .oracle import predicted_pmfs, predicted_stats, type_weight_sums
 
 SCHEMA_VERSION = 1
 
@@ -259,10 +260,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_contexts(args: argparse.Namespace) -> int:
+    label = {None: ".", PLUS: "+", MINUS: "-"}
     print("b1 b2 b3 b4   q1 q2")
-    for row in context_labels():
-        bits = "  ".join(map(str, row["b"]))
-        print(f"{bits}    {row['q1']}  {row['q2']}")
+    for bits, q1, q2 in STANDARD_CONTEXT_TABLE:
+        print(f"{'  '.join(map(str, bits))}    {label[q1]}  {label[q2]}")
     return EXIT_OK
 
 

@@ -1,11 +1,11 @@
 """Full nine-context experiment: repetitions, parallel execution, summaries.
 
-One driver serves `run` and `sweep`.  Work is split into small tasks (one
-context-repetition, or one shared-draw chunk) whose integer tallies are
-reduced in a fixed order, so the result is bit-identical for any worker
-count.  Every task evaluates all grid points on its one draw of each chunk.
-Worker count defaults to the LGWAVE_WORKERS environment variable, falling
-back to the number of CPUs this process may run on.
+One driver serves `run` and `sweep`.  It builds one ordered list of small
+tasks (one context-repetition, or one shared-draw chunk) and reduces their
+integer tallies by list position, so the result is bit-identical for any
+worker count.  Every task evaluates all grid points on its one draw of each
+chunk.  The worker count is the LGWAVE_WORKERS environment variable, else
+the number of CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .harness import (
     CONTEXT_BITS,
     COUNT_COLUMNS,
     MODE_SHARED,
-    STANDARD_CONTEXT_TABLE,
     T1T2T3_MM,
     T1T2T3_PP,
     T1T3_MINUS,
@@ -122,56 +121,41 @@ def _shared_chunk_task(plans: list[ExperimentPlan], rep: int, chunk: int) -> lis
     return accs
 
 
-def _shared_tasks(plans: list[ExperimentPlan]) -> dict:
-    """The shared-draw pass: one task per (rep, chunk), keyed ("shared", rep, chunk)."""
+def _reduce(plans: list[ExperimentPlan], efficiency: bool) -> list:
+    """Run the driver's tasks on the thread pool and reduce their results by
+    position: [grid point] -> (its (reps, 9, 5) counts, its shared-pass
+    accumulator per rep, empty if no shared pass ran).
+
+    The task list is one run_context per (rep, context) on independent
+    draws, then one _shared_chunk_task per (rep, chunk) on shared draws or
+    when `efficiency` is set; both rep-major, so the order is fixed.
+    """
     plan = plans[0]
-    return {
-        ("shared", rep, c): (_shared_chunk_task, plans, rep, c)
-        for rep in range(plan.reps)
-        for c in range(plan.n_chunks())
-    }
+    shared = plan.mode == MODE_SHARED
+    reps = range(plan.reps)
+    contexts = [] if shared else plan.contexts
+    chunks = range(plan.n_chunks())
+    tasks = [(run_context, plans, ctx, rep) for rep in reps for ctx in contexts]
+    n_context_tasks = len(tasks)
+    if shared or efficiency:
+        tasks += [(_shared_chunk_task, plans, rep, c) for rep in reps for c in chunks]
+    with ThreadPoolExecutor(max_workers=default_workers()) as pool:
+        futs = [pool.submit(*task) for task in tasks]
+        results = [fut.result() for fut in futs]
+
+    accs = [[EfficiencyAccumulator() for _ in reps] for _ in plans]
+    for (_, _, rep, _), chunk_accs in zip(tasks[n_context_tasks:], results[n_context_tasks:]):
+        for point_accs, acc in zip(accs, chunk_accs):
+            point_accs[rep].merge(acc)
+    if shared:
+        counts = [np.stack([acc.counts for acc in point_accs]) for point_accs in accs]
+    else:
+        rows = np.array(results[:n_context_tasks])
+        counts = rows.reshape(plan.reps, -1, len(plans), len(COUNT_COLUMNS)).transpose(2, 0, 1, 3)
+    return list(zip(counts, accs))
 
 
-def _count_tasks(plans: list[ExperimentPlan]) -> dict:
-    """The tasks that yield the nine context counts: one run_context per
-    (rep, context index) on independent draws, else the shared pass."""
-    plan = plans[0]
-    if plan.mode == MODE_SHARED:
-        return _shared_tasks(plans)
-    return {
-        (rep, j): (run_context, plans, ctx, rep)
-        for rep in range(plan.reps)
-        for j, ctx in enumerate(plan.contexts)
-    }
-
-
-def _reduce(plans: list[ExperimentPlan], tasks: dict, workers: int | None) -> list:
-    """Run every task (fn, *args) on the thread pool and reduce the results
-    in a fixed order: [grid point] -> (its (reps, 9, 5) counts, its merged
-    shared-pass accumulator per rep, empty if no shared pass ran)."""
-    if workers is None:
-        workers = default_workers()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = {key: pool.submit(*task) for key, task in tasks.items()}
-        results = {key: fut.result() for key, fut in futs.items()}
-    plan = plans[0]
-
-    def counts_and_accs(i: int):
-        accs = [EfficiencyAccumulator() for _ in range(plan.reps)]
-        for rep, acc in enumerate(accs):
-            for c in range(plan.n_chunks()):
-                if ("shared", rep, c) in results:
-                    acc.merge(results[("shared", rep, c)][i])
-        if plan.mode == MODE_SHARED:
-            return np.stack([acc.counts for acc in accs]), accs
-        contexts = range(len(STANDARD_CONTEXT_TABLE))
-        counts = [[results[(rep, j)][i] for j in contexts] for rep in range(plan.reps)]
-        return np.array(counts), accs
-
-    return [counts_and_accs(i) for i in range(len(plans))]
-
-
-def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> tuple[np.ndarray, dict]:
+def run_experiment(plan: ExperimentPlan) -> tuple[np.ndarray, dict]:
     """Run all repetitions of the nine-context experiment: the (reps, 9, 5)
     counts, and the summary.json entries "summary" and "per_rep".
 
@@ -179,8 +163,7 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> tuple[np
     streams and a shared-draw pass supplies the counterfactual efficiency
     report; in shared-draws mode the shared pass supplies both.
     """
-    plans = [plan]
-    [(counts, accs)] = _reduce(plans, _count_tasks(plans) | _shared_tasks(plans), workers)
+    [(counts, accs)] = _reduce([plan], efficiency=True)
     per_rep = []
     for rep, (c, acc) in enumerate(zip(counts, accs)):
         eff = acc.report()
@@ -193,15 +176,16 @@ def run_experiment(plan: ExperimentPlan, workers: int | None = None) -> tuple[np
     return counts, {"summary": _summarize(per_rep), "per_rep": per_rep}
 
 
-def run_kw_only(plans: list[ExperimentPlan], workers: int | None = None):
+def run_kw_only(plans: list[ExperimentPlan]):
     """Per-rep K and W only, summarized as (mean, std) each, at every grid
     point in `plans`; one (K, W) pair per plan, in order.
 
     The plans may differ only in source and gamma (ValueError otherwise):
     each chunk of each stream is drawn once and serves every point.  The
-    tasks are run_experiment's count tasks, so in shared-draws mode they
-    are its shared pass, with no efficiency report; K and W equal
-    run_experiment's.  A failing point's error message names its r and gamma.
+    tasks are run_experiment's without the efficiency pass: the per-context
+    tasks on independent draws, the shared pass on shared draws.  K and W
+    equal run_experiment's.  A failing point's error message names its r
+    and gamma.
     """
     if not plans:
         raise ValueError("a grid needs at least one plan")
@@ -209,7 +193,7 @@ def run_kw_only(plans: list[ExperimentPlan], workers: int | None = None):
         if replace(p, source=plans[0].source, gamma=plans[0].gamma) != plans[0]:
             raise ValueError("grid plans may differ only in source and gamma")
     kw = []
-    for p, (counts, _) in zip(plans, _reduce(plans, _count_tasks(plans), workers)):
+    for p, (counts, _) in zip(plans, _reduce(plans, efficiency=False)):
         try:
             stats = [_lg_stats(c) for c in counts]
         except (ZeroCoincidences, InvariantViolation) as e:

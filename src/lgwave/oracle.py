@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .harness import (
-    STANDARD_CONTEXT_TABLE,
     T1T2T3_MM,
     T1T2T3_MP,
     T1T2T3_PM,
@@ -23,7 +22,7 @@ from .harness import (
     standard_contexts,
 )
 from .optics import Context, OpticalParams
-from .stats import MINUS, PLUS, correlation, k_statistic, marginal_12, w_statistic
+from .stats import correlation, k_statistic, marginal_12, w_statistic
 
 
 def amplitudes(ctx: Context) -> tuple[complex, complex]:
@@ -97,17 +96,3 @@ def predicted_stats(optics: OpticalParams) -> dict[str, float]:
         "K": k_statistic(p12, p23, p13),
         "W": w_statistic(p13, p23, p12),
     }
-
-
-def context_labels() -> list[dict]:
-    """The nine standard blocker configurations with their (q1, q2) labels."""
-    rows = []
-    for bits, q1, q2 in STANDARD_CONTEXT_TABLE:
-        rows.append(
-            {
-                "b": bits,
-                "q1": {None: ".", PLUS: "+", MINUS: "-"}[q1],
-                "q2": {None: ".", PLUS: "+", MINUS: "-"}[q2],
-            }
-        )
-    return rows

@@ -10,15 +10,15 @@ from classical_reference import Z_MAX, count_z
 from lgwave.experiment import (
     SUMMARY_STATS,
     InvariantViolation,
-    _count_tasks,
     _lg_stats,
     _reduce,
-    _shared_tasks,
+    _shared_chunk_task,
     default_workers,
     run_experiment,
     run_kw_only,
 )
 from lgwave.harness import (
+    CHUNK,
     CONTEXT_BITS,
     COUNT_COLUMNS,
     MODE_SHARED,
@@ -26,6 +26,7 @@ from lgwave.harness import (
     STANDARD_CONTEXT_TABLE,
     T2T3_MINUS,
     ExperimentPlan,
+    run_context,
 )
 from lgwave.optics import OpticalParams, SourceParams
 from lgwave.oracle import predicted_pmfs
@@ -41,12 +42,19 @@ def plan(**kwargs):
     return ExperimentPlan(**defaults)
 
 
+def with_workers(monkeypatch, workers, fn, *args):
+    """fn(*args) with LGWAVE_WORKERS set to `workers`."""
+    monkeypatch.setenv("LGWAVE_WORKERS", str(workers))
+    return fn(*args)
+
+
 class TestRunExperiment:
-    def test_worker_count_does_not_change_counts(self):
-        p = plan()
-        r1 = run_experiment(p, workers=1)
-        r2 = run_experiment(p, workers=2)
-        r8 = run_experiment(p, workers=8)
+    @pytest.mark.parametrize("mode", ["independent-draws", MODE_SHARED])
+    def test_worker_count_does_not_change_counts(self, mode, monkeypatch):
+        p = plan(mode=mode)
+        r1 = with_workers(monkeypatch, 1, run_experiment, p)
+        r2 = with_workers(monkeypatch, 2, run_experiment, p)
+        r8 = with_workers(monkeypatch, 8, run_experiment, p)
         for a, b in [(r1, r2), (r1, r8)]:
             assert np.array_equal(a[0], b[0])
             for sa, sb in zip(a[1]["per_rep"], b[1]["per_rep"]):
@@ -126,6 +134,17 @@ class TestRunKwOnly:
         ]
         assert run_kw_only(plans) == [run_kw_only([p])[0] for p in plans]
 
+    @pytest.mark.parametrize("mode", ["independent-draws", MODE_SHARED])
+    def test_worker_count_does_not_change_grid(self, mode, monkeypatch):
+        points = [(0.3, 1.5), (0.6, 1.2), (0.9, 2.0)]
+        plans = [
+            plan(source=SourceParams(r=r), gamma=g, samples=5000, mode=mode)
+            for r, g in points
+        ]
+        kw1 = with_workers(monkeypatch, 1, run_kw_only, plans)
+        assert with_workers(monkeypatch, 2, run_kw_only, plans) == kw1
+        assert with_workers(monkeypatch, 8, run_kw_only, plans) == kw1
+
     @pytest.mark.parametrize(
         "change",
         [{"seed": 4}, {"samples": 1 << 15}, {"optics": OpticalParams(t1=0.4)},
@@ -141,6 +160,26 @@ class TestRunKwOnly:
             run_kw_only([])
 
 
+class TestReduce:
+    @pytest.mark.parametrize("mode", ["independent-draws", MODE_SHARED])
+    def test_results_land_on_their_rep_and_context(self, mode, monkeypatch):
+        # two chunks per rep: each rep's accumulator is the sum of its own
+        # chunk tasks, and each count row is its own task's
+        p = plan(samples=CHUNK + 1000, mode=mode)
+        monkeypatch.setenv("LGWAVE_WORKERS", "2")
+        [(counts, accs)] = _reduce([p], efficiency=True)
+        for rep, acc in enumerate(accs):
+            chunk_accs = [_shared_chunk_task([p], rep, c)[0] for c in range(p.n_chunks())]
+            for name in ("counts", "n_lambda", "n_sym_diff"):
+                expected = sum(getattr(a, name) for a in chunk_accs)
+                assert np.array_equal(getattr(acc, name), expected), (rep, name)
+            if mode == MODE_SHARED:
+                assert np.array_equal(counts[rep], acc.counts)
+            else:
+                for j, ctx in enumerate(p.contexts):
+                    assert np.array_equal(counts[rep, j], run_context([p], ctx, rep)[0])
+
+
 class TestHeraldRate:
     """n_herald, n_plus + n_double and n_minus + n_double against their
     closed-form rates, |z| <= Z_MAX per row."""
@@ -150,11 +189,12 @@ class TestHeraldRate:
         z = count_z(run_experiment(p)[0], 0.6, 1.5)
         assert np.abs(z).max() <= Z_MAX, z
 
-    def test_grid_through_reduce(self):
+    def test_grid_through_reduce(self, monkeypatch):
         # every point's per-context counts and its shared-pass counts
         points = [(0.0, 1.2), (0.6, 1.2), (0.9, 2.0)]
         plans = [plan(source=SourceParams(r=r), gamma=g, samples=1 << 14) for r, g in points]
-        reduced = _reduce(plans, _count_tasks(plans) | _shared_tasks(plans), workers=2)
+        monkeypatch.setenv("LGWAVE_WORKERS", "2")
+        reduced = _reduce(plans, efficiency=True)
         for (r, g), (counts, accs) in zip(points, reduced):
             for c in (counts, np.stack([acc.counts for acc in accs])):
                 z = count_z(c, r, g)
