@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import InvariantViolation, default_workers, run_experiment, run_kw_only
+from .experiment import SUMMARY_STATS, InvariantViolation, default_workers, run_experiment, run_kw_only
 from .stats import MINUS, PLUS, ZeroCoincidences, marginal_12
 from .harness import (
     CONTEXT_BITS,
@@ -203,7 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     counts, report = run_experiment(cfg.plan())
     json_path, csv_path = write_run_outputs(cfg, counts, report, out_dir)
     s = report["summary"]
-    for name in ("K", "W", "eta_t3", "eta_t1t3", "eta_t2t3", "eta_t1t2t3"):
+    for name in (n for n in SUMMARY_STATS if n in ("K", "W") or n.startswith("eta_")):
         print(f"{name} = {s[name]['mean']:.4f} +/- {s[name]['std']:.4f}")
     print(f"wrote {json_path} and {csv_path}")
     return EXIT_OK

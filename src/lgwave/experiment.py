@@ -19,13 +19,8 @@ import numpy as np
 from .harness import (
     CONTEXT_BITS,
     COUNT_COLUMNS,
+    GROUPS,
     MODE_SHARED,
-    T1T2T3_MM,
-    T1T2T3_PP,
-    T1T3_MINUS,
-    T1T3_PLUS,
-    T2T3_MINUS,
-    T2T3_PLUS,
     ExperimentPlan,
     counterfactual_chunks,
     run_context,
@@ -66,7 +61,7 @@ def default_workers() -> int:
 # Per-rep statistics summarized as (mean, std); the delta_* entries follow.
 SUMMARY_STATS = (
     "K", "W", "C12", "C23", "C13", "K_marginal", "W_marginal",
-    "eta_t3", "eta_t1t3", "eta_t2t3", "eta_t1t2t3",
+    *("eta_" + t for t in GROUPS),
 )
 
 
@@ -92,9 +87,9 @@ def _lg_stats(counts: np.ndarray) -> dict[str, float]:
         j = bad[0]
         row = ", ".join(f"{name}={v}" for name, v in zip(COUNT_COLUMNS, counts[j].tolist()))
         raise InvariantViolation(f"count ordering violated in context {CONTEXT_BITS[j]}: {row}")
-    p13 = pmf2_from_counts(counts[T1T3_PLUS], counts[T1T3_MINUS])
-    p23 = pmf2_from_counts(counts[T2T3_PLUS], counts[T2T3_MINUS])
-    p3 = pmf3_from_counts(counts[T1T2T3_PP : T1T2T3_MM + 1])
+    p13 = pmf2_from_counts(*counts[GROUPS["t1t3"]])
+    p23 = pmf2_from_counts(*counts[GROUPS["t2t3"]])
+    p3 = pmf3_from_counts(counts[GROUPS["t1t2t3"]])
     p12 = marginal_12(p3)
     k_marg, w_marg = marginal_lg(p3)
     if k_marg > 1.0 + 1e-12 or w_marg > 1e-12:

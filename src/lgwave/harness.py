@@ -84,10 +84,11 @@ STANDARD_CONTEXT_TABLE: tuple[tuple[tuple[int, int, int, int], int | None, int |
 # summary.json label them.
 CONTEXT_BITS = tuple("".join(map(str, bits)) for bits, _, _ in STANDARD_CONTEXT_TABLE)
 
-OPEN = 0
-T1T3_PLUS, T1T3_MINUS = 1, 2
-T2T3_PLUS, T2T3_MINUS = 3, 4
-T1T2T3_PP, T1T2T3_PM, T1T2T3_MP, T1T2T3_MM = 5, 6, 7, 8
+# The four experiment types, each the rows of STANDARD_CONTEXT_TABLE that
+# interrogate the same times.  Within a type, rows are ordered by (q1, q2),
+# with + before -.  t3 interrogates neither t1 nor t2; the other three are
+# the interrogating types that K and W compare.
+GROUPS = {"t3": slice(0, 1), "t1t3": slice(1, 3), "t2t3": slice(3, 5), "t1t2t3": slice(5, 9)}
 
 
 def standard_contexts(optics: OpticalParams) -> list[Context]:

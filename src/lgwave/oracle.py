@@ -10,19 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harness import (
-    T1T2T3_MM,
-    T1T2T3_MP,
-    T1T2T3_PM,
-    T1T2T3_PP,
-    T1T3_MINUS,
-    T1T3_PLUS,
-    T2T3_MINUS,
-    T2T3_PLUS,
-    standard_contexts,
-)
+from .harness import GROUPS, standard_contexts
 from .optics import Context, OpticalParams
-from .stats import correlation, k_statistic, marginal_12, w_statistic
+from .stats import INTERROGATING, correlation, k_statistic, marginal_12, w_statistic
 
 
 def amplitudes(ctx: Context) -> tuple[complex, complex]:
@@ -63,11 +53,7 @@ def type_weight_sums(optics: OpticalParams) -> dict[str, float]:
     """
     w = _weights(optics)
     s = (w[:, 0] + w[:, 1]).tolist()
-    return {
-        "t1t3": s[T1T3_PLUS] + s[T1T3_MINUS],
-        "t2t3": s[T2T3_PLUS] + s[T2T3_MINUS],
-        "t1t2t3": s[T1T2T3_PP] + s[T1T2T3_PM] + s[T1T2T3_MP] + s[T1T2T3_MM],
-    }
+    return {t: sum(s[GROUPS[t]]) for t in INTERROGATING}
 
 
 def predicted_pmfs(optics: OpticalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,10 +65,8 @@ def predicted_pmfs(optics: OpticalParams) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     w = _weights(optics)
     total = type_weight_sums(optics)
-    p13 = w[[T1T3_PLUS, T1T3_MINUS]] / total["t1t3"]
-    p23 = w[[T2T3_PLUS, T2T3_MINUS]] / total["t2t3"]
-    p3 = w[T1T2T3_PP : T1T2T3_MM + 1].reshape(2, 2, 2) / total["t1t2t3"]
-    return p13, p23, p3
+    p13, p23, p3 = (w[GROUPS[t]] / total[t] for t in INTERROGATING)
+    return p13, p23, p3.reshape(2, 2, 2)
 
 
 def predicted_stats(optics: OpticalParams) -> dict[str, float]:

@@ -13,29 +13,19 @@ of the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .harness import (
-    CONTEXT_BITS,
-    COUNT_COLUMNS,
-    N_DOUBLE,
-    N_HERALD,
-    N_MINUS,
-    N_PLUS,
-    OPEN,
-    T1T2T3_MM,
-    T1T2T3_MP,
-    T1T2T3_PM,
-    T1T2T3_PP,
-    T1T3_MINUS,
-    T1T3_PLUS,
-    T2T3_MINUS,
-    T2T3_PLUS,
-    _tally,
+    CONTEXT_BITS, COUNT_COLUMNS, GROUPS, N_DOUBLE, N_HERALD, N_MINUS, N_PLUS, _tally,
 )
 
 PLUS, MINUS = +1, -1
+
+# The experiment types that interrogate t1 or t2 (every type but t3), whose
+# PMFs K and W compare.
+INTERROGATING = tuple(GROUPS)[1:]
 
 
 class ZeroCoincidences(ValueError):
@@ -110,7 +100,9 @@ def marginal_lg(p3: np.ndarray) -> tuple[float, float]:
 @dataclass
 class EfficiencyAccumulator:
     """Streaming aggregation of shared-draw chunks: the nine contexts'
-    (9, 5) counts and the counterfactual Lambda-set unions over them.
+    (9, 5) counts, the size of each experiment type's counterfactual Lambda
+    set (the union over its contexts), and the symmetric differences of the
+    interrogating types' Lambda sets, pair by pair.
 
     Addition of the integer tallies is associative and commutative, so
     chunks may be processed in any order (and combined across workers).
@@ -119,7 +111,7 @@ class EfficiencyAccumulator:
     counts: np.ndarray = field(
         default_factory=lambda: np.zeros((len(CONTEXT_BITS), len(COUNT_COLUMNS)), dtype=np.int64)
     )
-    n_lambda: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
+    n_lambda: np.ndarray = field(default_factory=lambda: np.zeros(len(GROUPS), dtype=np.int64))
     n_sym_diff: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.int64))
 
     def update(self, n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> None:
@@ -128,16 +120,9 @@ class EfficiencyAccumulator:
         row.  Every count and Lambda set is gated on d1."""
         self.counts += _tally(n_total, d1, d2, d3)
         valid = d1 & (d2 ^ d3)  # E+(b) | E-(b), one row per context
-        lam_t3 = valid[OPEN]
-        lam_13 = valid[T1T3_PLUS] | valid[T1T3_MINUS]
-        lam_23 = valid[T2T3_PLUS] | valid[T2T3_MINUS]
-        lam_123 = valid[T1T2T3_PP] | valid[T1T2T3_PM] | valid[T1T2T3_MP] | valid[T1T2T3_MM]
-        self.n_lambda += [np.count_nonzero(x) for x in (lam_t3, lam_13, lam_23, lam_123)]
-        self.n_sym_diff += [
-            np.count_nonzero(lam_13 ^ lam_23),
-            np.count_nonzero(lam_13 ^ lam_123),
-            np.count_nonzero(lam_23 ^ lam_123),
-        ]
+        lam = [valid[g].any(axis=0) for g in GROUPS.values()]
+        self.n_lambda += [np.count_nonzero(x) for x in lam]
+        self.n_sym_diff += [np.count_nonzero(a ^ b) for a, b in combinations(lam[1:], 2)]
 
     def merge(self, other: "EfficiencyAccumulator") -> None:
         self.counts += other.counts
@@ -148,24 +133,17 @@ class EfficiencyAccumulator:
         """The efficiencies, their bounds, the double-detection rates keyed by
         context bit string, and the Lambda-set symmetric differences, keyed
         as in a summary.json per-rep entry."""
-        nh = int(self.counts[OPEN, N_HERALD])  # every context sees the same heralds
+        nh = int(self.counts[0, N_HERALD])  # every context sees the same heralds
         if nh == 0:
             raise ZeroCoincidences("no herald detections in the shared-draw record")
         coinc = (self.counts[:, N_PLUS] + self.counts[:, N_MINUS]).tolist()
-        bound = lambda idx: float(sum(coinc[j] for j in idx)) / nh
         return {
-            "eta_t3": self.n_lambda[0] / nh,
-            "eta_t1t3": self.n_lambda[1] / nh,
-            "eta_t2t3": self.n_lambda[2] / nh,
-            "eta_t1t2t3": self.n_lambda[3] / nh,
-            "bound_t1t3": bound((T1T3_PLUS, T1T3_MINUS)),
-            "bound_t2t3": bound((T2T3_PLUS, T2T3_MINUS)),
-            "bound_t1t2t3": bound((T1T2T3_PP, T1T2T3_PM, T1T2T3_MP, T1T2T3_MM)),
+            **{"eta_" + t: n / nh for t, n in zip(GROUPS, self.n_lambda)},
+            **{"bound_" + t: float(sum(coinc[GROUPS[t]])) / nh for t in INTERROGATING},
             "delta": dict(zip(CONTEXT_BITS, (self.counts[:, N_DOUBLE] / nh).tolist())),
             "sym_diff": {
-                "t1t3_vs_t2t3": int(self.n_sym_diff[0]),
-                "t1t3_vs_t1t2t3": int(self.n_sym_diff[1]),
-                "t2t3_vs_t1t2t3": int(self.n_sym_diff[2]),
+                f"{a}_vs_{b}": int(n)
+                for (a, b), n in zip(combinations(INTERROGATING, 2), self.n_sym_diff)
             },
         }
 
@@ -178,16 +156,19 @@ def w_decomposition(counts: np.ndarray, eff: dict) -> dict[str, float]:
     No new estimator: the direct W here equals w_statistic on the same counts.
     `counts` are the (9, 5) shared-draw counts behind `eff`, a report() dict.
     """
-    for name in ("eta_t1t3", "eta_t2t3", "eta_t1t2t3"):
-        if eff[name] == 0:
-            raise ZeroCoincidences(f"{name} is zero: its Lambda set is empty")
-    nh = int(counts[OPEN, N_HERALD])
-    plus, minus = counts[:, N_PLUS].tolist(), counts[:, N_MINUS].tolist()
-    p13_mp = (plus[T1T3_MINUS] / nh) / eff["eta_t1t3"]
-    p23_mp = (plus[T2T3_MINUS] / nh) / eff["eta_t2t3"]
-    p12_mp = ((plus[T1T2T3_MP] + minus[T1T2T3_MP]) / nh) / eff["eta_t1t2t3"]
-    p13_mp_marg = ((plus[T1T2T3_MP] + plus[T1T2T3_MM]) / nh) / eff["eta_t1t2t3"]
-    p23_mp_marg = ((plus[T1T2T3_PM] + plus[T1T2T3_MM]) / nh) / eff["eta_t1t2t3"]
+    for t in INTERROGATING:
+        if eff["eta_" + t] == 0:
+            raise ZeroCoincidences(f"eta_{t} is zero: its Lambda set is empty")
+    nh = int(counts[0, N_HERALD])
+    # Each type's (n_plus, n_minus) block, axes (q1 or q2, q3) or (q1, q2, q3).
+    n13, n23, n123 = (counts[GROUPS[t]][:, [N_PLUS, N_MINUS]] for t in INTERROGATING)
+    n123 = n123.reshape(2, 2, 2)
+    eta13, eta23, eta123 = (eff["eta_" + t] for t in INTERROGATING)
+    p13_mp = (int(n13[1, 0]) / nh) / eta13
+    p23_mp = (int(n23[1, 0]) / nh) / eta23
+    p12_mp = (int(n123[1, 0].sum()) / nh) / eta123
+    p13_mp_marg = (int(n123[1, :, 0].sum()) / nh) / eta123
+    p23_mp_marg = (int(n123[:, 1, 0].sum()) / nh) / eta123
     return {
         "p13_mp_direct": p13_mp,
         "p23_mp_direct": p23_mp,

@@ -21,17 +21,16 @@ from lgwave.harness import (
     CHUNK,
     CONTEXT_BITS,
     COUNT_COLUMNS,
+    GROUPS,
     MODE_SHARED,
     N_HERALD,
     STANDARD_CONTEXT_TABLE,
-    T2T3_MINUS,
     ExperimentPlan,
     run_context,
 )
 from lgwave.optics import OpticalParams, SourceParams
 from lgwave.oracle import predicted_pmfs
 from lgwave.stats import pmf2_from_counts
-from lgwave.harness import T1T3_MINUS, T1T3_PLUS
 
 
 def plan(**kwargs):
@@ -76,7 +75,7 @@ class TestRunExperiment:
 
     def test_simulated_pmf_near_quantum_prediction(self):
         counts, _ = run_experiment(plan(samples=1 << 19, reps=2, seed=21))
-        p13_sim = pmf2_from_counts(counts[0, T1T3_PLUS], counts[0, T1T3_MINUS])
+        p13_sim = pmf2_from_counts(*counts[0, GROUPS["t1t3"]])
         p13_qm, _, _ = predicted_pmfs(OpticalParams())
         for key in np.ndindex(2, 2):
             assert abs(p13_sim[key] - p13_qm[key]) < 0.06
@@ -216,11 +215,12 @@ class TestCountInvariant:
     def test_bad_row_named_with_its_counts(self, bad):
         counts = np.array([self.GOOD] * len(STANDARD_CONTEXT_TABLE), dtype=np.int64)
         _lg_stats(counts)  # the consistent rows pass
-        counts[T2T3_MINUS] = bad
+        t2t3_minus = GROUPS["t2t3"].start + 1
+        counts[t2t3_minus] = bad
         with pytest.raises(InvariantViolation) as e:
             _lg_stats(counts)
         message = str(e.value)
-        assert f"context {CONTEXT_BITS[T2T3_MINUS]}:" in message
+        assert f"context {CONTEXT_BITS[t2t3_minus]}:" in message
         for name, value in zip(COUNT_COLUMNS, bad):
             assert f"{name}={value}" in message
 

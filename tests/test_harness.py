@@ -12,6 +12,7 @@ from lgwave.harness import (
     CHUNK,
     COUNT_COLUMNS,
     GEMM_ROWS,
+    GROUPS,
     HERALD_COLUMNS,
     MODE_INDEPENDENT,
     MODE_SHARED,
@@ -60,6 +61,21 @@ class TestStandardContexts:
         assert set(bits[1:3]) == {(1, 0, 1, 1), (0, 1, 1, 1)}
         assert set(bits[3:5]) == {(1, 1, 1, 0), (1, 1, 0, 1)}
         assert set(bits[5:]) == {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)}
+
+    def test_groups_partition_rows_by_type(self):
+        # The four types cover rows 0-8 once each, in order.
+        rows = [i for g in GROUPS.values() for i in range(len(STANDARD_CONTEXT_TABLE))[g]]
+        assert rows == list(range(9))
+        assert list(GROUPS) == ["t3", "t1t3", "t2t3", "t1t2t3"]
+        # Each type's (q1, q2) labels: the times it interrogates, + before -.
+        expected = {
+            "t3": [(None, None)],
+            "t1t3": [(+1, None), (-1, None)],
+            "t2t3": [(None, +1), (None, -1)],
+            "t1t2t3": [(+1, +1), (+1, -1), (-1, +1), (-1, -1)],
+        }
+        for name, g in GROUPS.items():
+            assert [(q1, q2) for _, q1, q2 in STANDARD_CONTEXT_TABLE[g]] == expected[name]
 
 
 class TestEvaluateContext:

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from lgwave.harness import (
+    GROUPS,
     MODE_SHARED,
     N_HERALD,
-    OPEN,
     STANDARD_CONTEXT_TABLE,
-    T1T2T3_MM,
-    T1T2T3_PP,
     ExperimentPlan,
     counterfactual_chunks,
 )
@@ -69,7 +67,7 @@ class TestPmfConstruction:
         assert p.shape == (2, 2) and p.dtype == np.float64
         assert p.tolist() == [[0.75, 0.25], [0.0, 0.0]]
         # pmf3_from_counts reads the two-blocker rows as (q1, q2) in this order
-        labels = [(q1, q2) for _, q1, q2 in STANDARD_CONTEXT_TABLE[T1T2T3_PP : T1T2T3_MM + 1]]
+        labels = [(q1, q2) for _, q1, q2 in STANDARD_CONTEXT_TABLE[GROUPS["t1t2t3"]]]
         assert labels == [(PLUS, PLUS), (PLUS, MINUS), (MINUS, PLUS), (MINUS, MINUS)]
 
     def test_pmf2_zero_coincidences(self):
@@ -191,7 +189,7 @@ class TestEfficiencies:
     def test_direct_at_most_bound(self):
         acc = shared_accumulator(shared_plan())
         report = acc.report()
-        nh = acc.counts[OPEN, N_HERALD]
+        nh = acc.counts[GROUPS["t3"].start, N_HERALD]
         for eta, bound in [
             (report["eta_t1t3"], report["bound_t1t3"]),
             (report["eta_t2t3"], report["bound_t2t3"]),
@@ -204,3 +202,55 @@ class TestEfficiencies:
         report = shared_report(shared_plan())
         for eta in (report["eta_t3"], report["eta_t1t3"], report["eta_t2t3"], report["eta_t1t2t3"]):
             assert 0.0 <= eta <= 1.0
+
+
+def reference_lambda_sets(d1, d2, d3):
+    """Each experiment type's Lambda set spelled out one realization at a
+    time: the rows heralded at D1 with exactly one exit click in some
+    context of the type, the type read off the context's (q1, q2) label."""
+    types = {(False, False): "t3", (True, False): "t1t3", (False, True): "t2t3",
+             (True, True): "t1t2t3"}
+    sets = {name: set() for name in types.values()}
+    for (_, q1, q2), e2, e3 in zip(STANDARD_CONTEXT_TABLE, d2, d3):
+        lam = sets[types[(q1 is not None, q2 is not None)]]
+        lam.update(i for i, (h, a, b) in enumerate(zip(d1, e2, e3)) if h and a != b)
+    return sets
+
+
+def random_detections(seed, n):
+    g = np.random.default_rng(seed)
+    d1 = g.random(n) < 0.7
+    d2, d3 = g.random((2, len(STANDARD_CONTEXT_TABLE), n)) < 0.2
+    return d1, d2, d3
+
+
+class TestLambdaSets:
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 500])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_update_matches_reference_sets(self, n, seed):
+        d1, d2, d3 = random_detections(1000 * seed + n, n)
+        acc = EfficiencyAccumulator()
+        acc.update(n + 5, d1, d2, d3)
+        lam = reference_lambda_sets(d1.tolist(), d2.tolist(), d3.tolist())
+        assert acc.n_lambda.tolist() == [len(lam[t]) for t in ("t3", "t1t3", "t2t3", "t1t2t3")]
+        pairs = [("t1t3", "t2t3"), ("t1t3", "t1t2t3"), ("t2t3", "t1t2t3")]
+        assert acc.n_sym_diff.tolist() == [len(lam[a] ^ lam[b]) for a, b in pairs]
+        nh = int(np.count_nonzero(d1))
+        if nh == 0:
+            return
+        report = acc.report()
+        for t, members in lam.items():
+            assert report["eta_" + t] == len(members) / nh
+        assert report["sym_diff"] == {f"{a}_vs_{b}": len(lam[a] ^ lam[b]) for a, b in pairs}
+
+    @pytest.mark.parametrize("split", [0, 1, 200, 401])
+    def test_merge_equals_one_update(self, split):
+        d1, d2, d3 = random_detections(7, 401)
+        whole = EfficiencyAccumulator()
+        whole.update(401, d1, d2, d3)
+        merged, part = EfficiencyAccumulator(), EfficiencyAccumulator()
+        merged.update(split, d1[:split], d2[:, :split], d3[:, :split])
+        part.update(401 - split, d1[split:], d2[:, split:], d3[:, split:])
+        merged.merge(part)
+        for name in ("counts", "n_lambda", "n_sym_diff"):
+            assert getattr(merged, name).tolist() == getattr(whole, name).tolist()
