@@ -36,6 +36,7 @@ EXIT_ERROR = 1
 EXIT_INVALID_CONFIG = 2
 EXIT_IO_ERROR = 3
 EXIT_INVARIANT = 4
+EXIT_INTERRUPTED = 130
 
 
 class InvalidConfig(ValueError):
@@ -309,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"lgwave: error [io-error] {e}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except KeyboardInterrupt:
+        print("lgwave: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

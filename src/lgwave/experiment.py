@@ -136,7 +136,12 @@ def _reduce(plans: list[ExperimentPlan], efficiency: bool) -> list:
         tasks += [(_shared_chunk_task, plans, rep, c) for rep in reps for c in chunks]
     with ThreadPoolExecutor(max_workers=default_workers()) as pool:
         futs = [pool.submit(*task) for task in tasks]
-        results = [fut.result() for fut in futs]
+        try:
+            results = [fut.result() for fut in futs]
+        except BaseException:
+            # a failed task or Ctrl-C: wait only for the tasks already running
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
     accs = [[EfficiencyAccumulator() for _ in reps] for _ in plans]
     for (_, _, rep, _), chunk_accs in zip(tasks[n_context_tasks:], results[n_context_tasks:]):

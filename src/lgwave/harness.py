@@ -14,11 +14,12 @@ contexts evaluated per draw.  A single-context stream (run_context)
 evaluates every row.  The shared pass (counterfactual_chunks, nine contexts
 per draw) computes the herald on every row and evaluates the exits only on
 the rows heralded at some grid point: every count is conditioned on the
-herald, which few rows pass.  Both decide each detector bit for bit alike,
-which rests on two facts about the BLAS that tests/test_harness.py pins
-(TestBlasFacts): an 8-column herald product rounds like the full product's
-first four columns, and gathered rows padded to GEMM_ROWS round like the
-same rows of the full product.
+herald, which few rows pass.  Every product is a stack of whole
+GEMM_ROWS-row products (_transfer pads the last one), so both paths decide
+each detector bit for bit alike.  That rests on two facts about the BLAS
+that tests/test_harness.py pins (TestBlasFacts): an 8-column herald product
+rounds like the full product's first four columns, and a row rounds alike
+in whichever padded stack it is multiplied.
 A context's counts are one int64 row whose columns are COUNT_COLUMNS, the
 columns of counts.csv; k contexts' counts are a (k, 5) array.  They are
 integers added chunk by chunk, so any parallel schedule that reduces them
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optics import (
-    NORMALS_PER_REALIZATION,
     Context,
     OpticalParams,
     SourceParams,
@@ -53,10 +53,10 @@ CHUNK = 1 << 16
 # The detection kernel draws and evaluates a chunk in blocks of ROW_BLOCK
 # realizations, read in order from the chunk's one generator.  That keeps the
 # draws and the temporaries in cache, and no chunk of normals is ever held.
-# It multiplies stacks of GEMM_ROWS-row matrices, whose rounding the golden
-# counts pin (tests/test_harness.py, TestBlasFacts).  The package pins
-# OpenBLAS to one thread on import (lgwave/__init__.py), so no BLAS thread
-# starts beside the worker pool's.
+# It multiplies only stacks of whole GEMM_ROWS-row matrices (_transfer),
+# whose rounding the golden counts pin (tests/test_harness.py,
+# TestBlasFacts).  The package pins OpenBLAS to one thread on import
+# (lgwave/__init__.py), so no BLAS thread starts beside the worker pool's.
 ROW_BLOCK = 2048
 GEMM_ROWS = 64
 
@@ -180,15 +180,13 @@ def _tally(n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.n
 
 
 def _transfer(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m as stacked GEMM_ROWS-row products plus one remainder product."""
-    q = len(x) - len(x) % GEMM_ROWS
-    out = np.empty((len(x), m.shape[1]))
-    np.matmul(
-        x[:q].reshape(-1, GEMM_ROWS, x.shape[1]), m,
-        out=out[:q].reshape(-1, GEMM_ROWS, m.shape[1]),
-    )
-    np.matmul(x[q:], m, out=out[q:])
-    return out
+    """x @ m as a stack of GEMM_ROWS-row products.  A last partial stack is
+    padded with zero rows, so every row is multiplied inside a whole one."""
+    n = len(x)
+    if n % GEMM_ROWS:
+        x = np.concatenate((x, np.zeros((-n % GEMM_ROWS, x.shape[1]))))
+    out = np.matmul(x.reshape(-1, GEMM_ROWS, x.shape[1]), m)
+    return out.reshape(-1, m.shape[1])[:n]
 
 
 def _powers(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -199,16 +197,6 @@ def _powers(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     power = parts[..., 0] + parts[..., 1]
     power += parts[..., 2] + parts[..., 3]
     return power
-
-
-def _gather(x: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """x[rows] copied into buf and zero-padded to a multiple of GEMM_ROWS
-    rows, so that _transfer multiplies them only in GEMM_ROWS-row products."""
-    n = len(rows)
-    np.take(x, rows, axis=0, out=buf[:n])
-    padded = -(-n // GEMM_ROWS) * GEMM_ROWS
-    buf[n:padded] = 0.0
-    return buf[:padded]
 
 
 # The herald D1 is columns 0-3 of compile_network's matrix.  Its product is
@@ -242,18 +230,15 @@ def _detections(
     - Several contexts (the shared pass): only a row heralded at the
       source's lowest gamma can count, and few are.  The herald power of
       every row comes from its product with the matrix's first
-      HERALD_COLUMNS columns; the rows above the lowest gamma**2 are
-      gathered, padded (_gather) and only they are multiplied by the whole
-      matrix and thresholded.  With one context the gather costs more than
-      the rows it skips.
+      HERALD_COLUMNS columns; only the rows above the lowest gamma**2 are
+      multiplied by the whole matrix and thresholded.  With one context
+      selecting the rows costs more than the rows it skips.
 
     The two paths decide every detector alike, bit for bit, as long as the
     BLAS rounds two products alike: the herald-tile product like the whole
-    matrix's first four columns, and a padded gathered row like the same
-    row of the whole block's product (tests/test_harness.py::TestBlasFacts
-    pins both).  A row multiplied alone rounds differently, hence the
-    padding; the one exception is a block that ends in a single row after
-    its GEMM_ROWS-row products, which the all-rows path multiplies alone.
+    matrix's first four columns, and a row like itself in any padded stack
+    of GEMM_ROWS rows (tests/test_harness.py::TestBlasFacts pins both).  A
+    row multiplied alone rounds differently, hence _transfer's padding.
     evaluate_context stays the reference: it rounds differently from both,
     so they can only disagree on a power within rounding of gamma**2."""
     by_source: dict[SourceParams, list[tuple[int, float]]] = {}
@@ -264,8 +249,7 @@ def _detections(
         m = compile_network(src, contexts)
         lowest = min(threshold for _, threshold in points)
         networks.append((m, np.ascontiguousarray(m[:, :HERALD_COLUMNS]), lowest, points))
-    gather = len(contexts) > 1
-    buf = np.empty((ROW_BLOCK, NORMALS_PER_REALIZATION)) if gather else None
+    heralded_only = len(contexts) > 1
     plan = plans[0]
     for c in chunks:
         n = plan.chunk_size(c)
@@ -275,14 +259,11 @@ def _detections(
         for lo in range(0, n, ROW_BLOCK):
             x = sample_hidden(rng, min(ROW_BLOCK, n - lo))
             for m, m_herald, lowest, points in networks:
-                rows, y = len(x), x
-                if gather:
-                    heralded = np.flatnonzero(_powers(x, m_herald)[:, 0] > lowest)
-                    rows, y = len(heralded), _gather(x, heralded, buf)
-                power = _powers(y, m)[:rows].T
+                y = x[_powers(x, m_herald)[:, 0] > lowest] if heralded_only else x
+                power = _powers(y, m).T
                 for i, threshold in points:
-                    np.greater(power, threshold, out=det[i, :, filled[i] : filled[i] + rows])
-                    filled[i] += rows
+                    np.greater(power, threshold, out=det[i, :, filled[i] : filled[i] + len(y)])
+                    filled[i] += len(y)
         yield [(n, d[0, :f], d[1::2, :f], d[2::2, :f]) for d, f in zip(det, filled)]
 
 
@@ -300,10 +281,11 @@ def run_context(plans: list[ExperimentPlan], ctx: Context, rep_index: int) -> np
 
 def counterfactual_chunks(
     plans: list[ExperimentPlan], rep_index: int, chunk_indices: range | None = None
-) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+) -> Iterator[list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
     """Stream shared-draw detections: one hidden state per realization, all
     nine contexts evaluated on it at every grid point in `plans`; per chunk,
-    one (d1, d2, d3) per point.  Chunks arrive in index order."""
+    one (n_total, d1, d2, d3) per point, as _detections yields them.  Chunks
+    arrive in index order."""
     plan = plans[0]
     if chunk_indices is None:
         chunk_indices = range(plan.n_chunks())

@@ -145,6 +145,14 @@ class TestRun:
         assert run_cli([*argv, "--out", str(not_a_dir / "x")]) == 3
         assert "lgwave: error [io-error]" in capsys.readouterr().err
 
+    def test_interrupt_exits_130(self, tmp_path, monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        assert run_cli(["run", *TINY, "--out", str(tmp_path / "out")]) == 130
+        assert capsys.readouterr().err.splitlines() == ["lgwave: interrupted"]
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sample": 4096}))
@@ -155,6 +163,8 @@ class TestRun:
         # frozen tiny runs and sweeps, one per draw mode, and the oracle at
         # two optics: (argv, output, golden file)
         run = ["run", "--samples", "1024", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
+        # 4161 = 2 * 2048 + 64 + 1: the last row block ends in a partial stack
+        partial = ["run", "--samples", "4161", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
         sweep = ["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
                  "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"]
         shared = ["--mode", "shared-draws"]
@@ -163,6 +173,7 @@ class TestRun:
         cases = [
             (run, "counts.csv", "golden_counts.csv"),
             (run + shared, "counts.csv", "golden_counts_shared.csv"),
+            (partial, "counts.csv", "golden_counts_partial.csv"),
             (sweep, "sweep.csv", "golden_sweep_independent.csv"),
             (sweep + shared, "sweep.csv", "golden_sweep_shared.csv"),
             (run, "summary.json", "golden_summary.json"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classical_reference import Z_MAX, count_z
+from lgwave import experiment
 from lgwave.experiment import (
     SUMMARY_STATS,
     InvariantViolation,
@@ -177,6 +178,21 @@ class TestReduce:
             else:
                 for j, ctx in enumerate(p.contexts):
                     assert np.array_equal(counts[rep, j], run_context([p], ctx, rep)[0])
+
+    def test_failing_task_drops_the_queue(self, monkeypatch):
+        # the first task fails: the error surfaces without the queued tasks
+        # running first (the one worker may have started the next one)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise RuntimeError("task failed")
+
+        monkeypatch.setattr(experiment, "run_context", failing)
+        monkeypatch.setenv("LGWAVE_WORKERS", "1")
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_experiment(plan(reps=3))
+        assert len(calls) <= 2
 
 
 class TestHeraldRate:

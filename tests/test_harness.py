@@ -11,7 +11,6 @@ import pytest
 from lgwave.harness import (
     CHUNK,
     COUNT_COLUMNS,
-    GEMM_ROWS,
     GROUPS,
     HERALD_COLUMNS,
     MODE_INDEPENDENT,
@@ -23,7 +22,6 @@ from lgwave.harness import (
     SHARED_STREAM_KEY,
     STANDARD_CONTEXT_TABLE,
     ExperimentPlan,
-    _gather,
     _tally,
     _transfer,
     counterfactual_chunks,
@@ -351,9 +349,10 @@ class TestLargestSqueezing:
 
 class TestBlasFacts:
     """The two products whose rounding the shared pass relies on to decide
-    every detector as the all-rows product does (harness._detections).  If
-    a BLAS upgrade breaks one, this names the cause before the golden
-    files fail."""
+    every detector as the all-rows product does (harness._detections): the
+    herald tile, and a row in whichever zero-padded GEMM_ROWS-row stack
+    _transfer multiplies it.  If a BLAS upgrade breaks one, this names the
+    cause before the golden files fail."""
 
     NETWORKS = {r: compile_network(SourceParams(r=r), standard_contexts(OpticalParams()))
                 for r in (0.0, 0.3, 0.9)}
@@ -374,12 +373,18 @@ class TestBlasFacts:
     def test_padded_gather_rounds_like_full_product(self, r, k):
         m = self.NETWORKS[r]
         rng, blocks = self.blocks(2)
-        buf = np.empty((ROW_BLOCK, NORMALS_PER_REALIZATION))
         for x in blocks:
             rows = np.sort(rng.choice(ROW_BLOCK, k, replace=False))
-            y = _gather(x, rows, buf)
-            assert len(y) % GEMM_ROWS == 0
-            assert np.array_equal(_transfer(y, m)[:k], _transfer(x, m)[rows])
+            assert np.array_equal(_transfer(x[rows], m), _transfer(x, m)[rows])
+
+    @pytest.mark.parametrize("r", NETWORKS)
+    @pytest.mark.parametrize("k", [1, 2, 37, 63, 65])
+    def test_padded_prefix_rounds_like_full_product(self, r, k):
+        # a block's last partial stack, a lone row included, rounds as it
+        # would inside a whole one
+        m = self.NETWORKS[r]
+        for x in self.blocks(3)[1]:
+            assert np.array_equal(_transfer(x[:k], m), _transfer(x, m)[:k])
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
