@@ -68,9 +68,9 @@ def _setting(default, help: str, choices: list[str] | None = None):
 @dataclass
 class RunConfig:
     """Every setting, declared once.  Each field is a config key and a flag
-    (--name, dashes for underscores; sweep_* on `sweep` only) typed by its
-    annotation (_TYPES); optics() and plan() pass it to the parameter
-    dataclass field of its name, whose default it mirrors."""
+    (--name, dashes for underscores; on the commands _command_settings
+    names) typed by its annotation (_TYPES); optics() and plan() pass it to
+    the parameter dataclass field of its name, whose default it mirrors."""
 
     r: float = _setting(0.3, "squeezing strength")
     gamma: float = _setting(ExperimentPlan.gamma, "detection threshold")
@@ -104,7 +104,10 @@ class RunConfig:
 
 def _command_settings(command: str) -> list:
     """The RunConfig fields `command` takes, each as a flag and as a config
-    key: all of them on `sweep`, all but the sweep_* grid elsewhere."""
+    key: all on `sweep`, all but sweep_* on `run`, the optics and out on `oracle`."""
+    if command == "oracle":
+        optics = {f.name for f in fields(OpticalParams)}
+        return [f for f in fields(RunConfig) if f.name in optics | {"out"}]
     return [f for f in fields(RunConfig) if command == "sweep" or not f.name.startswith("sweep_")]
 
 
@@ -125,10 +128,11 @@ def _json_type_ok(value, annotation: str) -> bool:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the config file and the flags, then build every plan the
-    command will run: the dataclasses are the validation, and any value
-    they reject raises InvalidConfig.  Config keys fill in the flags that
-    were not given, so `args` holds the merged choice afterwards."""
+    """Merge the config file and the flags, then build what the command
+    will run, every plan or the oracle's optics: the dataclasses are the
+    validation, and any value they reject raises InvalidConfig.  Config
+    keys fill in the flags that were not given, so `args` holds the merged
+    choice afterwards."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         try:
@@ -162,8 +166,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if sweep and not (cfg.sweep_r and cfg.sweep_gamma):
         raise InvalidConfig("sweep grids must be nonempty")
     try:
-        default_workers()
-        cfg.plan()
+        if args.command == "oracle":
+            cfg.optics()
+        else:
+            default_workers()
+            cfg.plan()
         if sweep:
             sweep_plans(cfg)
     except ValueError as e:

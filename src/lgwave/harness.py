@@ -1,4 +1,4 @@
-"""Experiment driver: contexts, random-stream layout, tallying.
+"""Contexts, random-stream layout, the detection kernel and tallying.
 
 Stream layout (reproducible across machines and worker counts): realizations
 are processed in fixed chunks of CHUNK; chunk c of repetition `rep` for the
@@ -40,12 +40,10 @@ from .optics import (
     SourceParams,
     compile_network,
     detect,
+    propagate,
     require_finite,
     sample_hidden,
     source_output,
-    stage1,
-    stage2,
-    stage3,
 )
 
 CHUNK = 1 << 16
@@ -144,7 +142,7 @@ class ExperimentPlan:
 def evaluate_context(
     h: np.ndarray, src: SourceParams, ctx: Context, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full pipeline source -> three stages -> threshold detection.
+    """Full pipeline source -> interferometer (propagate) -> detection.
 
     Returns the threshold events (d1, d2, d3) at the herald detector D1 and
     the two exits D2, D3.  The heralding beam a1 is untouched by the
@@ -152,9 +150,7 @@ def evaluate_context(
     states or batches.
     """
     a1, a2, a3 = source_output(h, src)
-    a2, a3 = stage1(a2, a3, h, ctx)
-    a2, a3 = stage2(a2, a3, h, ctx)
-    a2, a3 = stage3(a2, a3, ctx)
+    a2, a3 = propagate(a2, a3, h, ctx)
     return detect(a1, gamma), detect(a2, gamma), detect(a3, gamma)
 
 
@@ -280,13 +276,10 @@ def run_context(plans: list[ExperimentPlan], ctx: Context, rep_index: int) -> np
 
 
 def counterfactual_chunks(
-    plans: list[ExperimentPlan], rep_index: int, chunk_indices: range | None = None
+    plans: list[ExperimentPlan], rep_index: int, chunk_indices: range
 ) -> Iterator[list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
     """Stream shared-draw detections: one hidden state per realization, all
     nine contexts evaluated on it at every grid point in `plans`; per chunk,
     one (n_total, d1, d2, d3) per point, as _detections yields them.  Chunks
     arrive in index order."""
-    plan = plans[0]
-    if chunk_indices is None:
-        chunk_indices = range(plan.n_chunks())
-    return _detections(plans, SHARED_STREAM_KEY, rep_index, plan.contexts, chunk_indices)
+    return _detections(plans, SHARED_STREAM_KEY, rep_index, plans[0].contexts, chunk_indices)

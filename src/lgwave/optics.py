@@ -7,7 +7,7 @@ identically on a single realization (shape (2,)) or a batch (shape (n, 2)).
 The source is a two-mode squeezed pair built from standard complex Gaussian
 noise vectors; the interferometer is the fixed three-beam-splitter topology
 with optional beam blockers that replace a blocked arm by fresh vacuum noise.
-Detection is a strict threshold crossing on the Jones-vector norm.
+Detection is a strict threshold crossing on the Jones-vector power.
 """
 
 from __future__ import annotations
@@ -132,11 +132,6 @@ def _z(h: np.ndarray, name: str) -> np.ndarray:
     return h.view(np.complex128).reshape(*h.shape[:-1], 7, 2)[..., _VECTORS.index(name), :]
 
 
-def norm(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm sqrt(|h|^2 + |v|^2) of a Jones vector (batched)."""
-    return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
-
-
 def source_output(h: np.ndarray, p: SourceParams):
     """Two-mode squeezed twin beams plus the vacuum mode of the unused port.
 
@@ -152,48 +147,46 @@ def source_output(h: np.ndarray, p: SourceParams):
     return a1, a2, a3
 
 
+def _split(a2: np.ndarray, a3: np.ndarray, t: float):
+    """The 2x2 beam-splitter law of transmittance t on arms (a2, a3):
+    (sqrt(R) a2 - sqrt(T) a3, sqrt(T) a2 + sqrt(R) a3), with R = 1 - T."""
+    sq_t = np.sqrt(t)
+    sq_r = np.sqrt(1.0 - t)
+    return sq_r * a2 - sq_t * a3, sq_t * a2 + sq_r * a3
+
+
+def _block(n: int, a: np.ndarray, h: np.ndarray, ctx: Context) -> np.ndarray:
+    """Arm amplitude a past blocker BBn: a itself, or SIGMA times the
+    blocker's fresh vacuum zpn of rows h when it is inserted (bit bn = 0)."""
+    return a if ctx.b[n - 1] else SIGMA * _z(h, f"zp{n}")
+
+
 def stage1(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, ctx: Context):
     """First beam splitter, phase delay theta1 and blockers BB1/BB2."""
-    b1, b2 = ctx.b[0], ctx.b[1]
-    o = ctx.optics
-    sq_t = np.sqrt(o.t1)
-    sq_r = np.sqrt(1.0 - o.t1)
-    if b2:
-        a2_out = sq_r * a2 - sq_t * a3
-    else:
-        a2_out = SIGMA * _z(h, "zp2")
-    if b1:
-        a3_out = np.exp(1j * o.theta1) * (sq_t * a2 + sq_r * a3)
-    else:
-        a3_out = SIGMA * _z(h, "zp1")
-    return a2_out, a3_out
+    a2_out, a3_out = _split(a2, a3, ctx.optics.t1)
+    a3_out = np.exp(1j * ctx.optics.theta1) * a3_out
+    return _block(2, a2_out, h, ctx), _block(1, a3_out, h, ctx)
 
 
 def stage2(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, ctx: Context):
     """Second beam splitter, phase delay theta2 and blockers BB3/BB4."""
-    b3, b4 = ctx.b[2], ctx.b[3]
-    o = ctx.optics
-    sq_t = np.sqrt(o.t2)
-    sq_r = np.sqrt(1.0 - o.t2)
-    if b3:
-        a2_out = np.exp(1j * o.theta2) * (sq_r * a2 - sq_t * a3)
-    else:
-        a2_out = SIGMA * _z(h, "zp3")
-    if b4:
-        a3_out = sq_t * a2 + sq_r * a3
-    else:
-        a3_out = SIGMA * _z(h, "zp4")
-    return a2_out, a3_out
+    a2_out, a3_out = _split(a2, a3, ctx.optics.t2)
+    a2_out = np.exp(1j * ctx.optics.theta2) * a2_out
+    return _block(3, a2_out, h, ctx), _block(4, a3_out, h, ctx)
 
 
 def stage3(a2: np.ndarray, a3: np.ndarray, ctx: Context):
     """Final recombining beam splitter; no blockers, no noise."""
-    o = ctx.optics
-    sq_t = np.sqrt(o.t3)
-    sq_r = np.sqrt(1.0 - o.t3)
-    a2_out = sq_t * a2 + sq_r * a3
-    a3_out = sq_r * a2 - sq_t * a3
-    return a2_out, a3_out
+    a2_out, a3_out = _split(a2, a3, ctx.optics.t3)
+    return a3_out, a2_out
+
+
+def propagate(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, ctx: Context):
+    """The interferometer: the arms (a2, a3) through stage1, stage2 and
+    stage3, in that order, to the exits D2 and D3."""
+    a2, a3 = stage1(a2, a3, h, ctx)
+    a2, a3 = stage2(a2, a3, h, ctx)
+    return stage3(a2, a3, ctx)
 
 
 def compile_network(src: SourceParams, contexts: list[Context]) -> np.ndarray:
@@ -201,7 +194,7 @@ def compile_network(src: SourceParams, contexts: list[Context]) -> np.ndarray:
 
     Every detector amplitude is real-linear in the 28 reals of a hidden
     state, so pushing the 28 unit states through source_output and
-    stage1..3 gives the whole network as one (28, 4 * (1 + 2k)) matrix.
+    propagate gives the whole network as one (28, 4 * (1 + 2k)) matrix.
     Row i is the response to real i of sample_hidden's packed layout
     (vector z1..zp4, component H/V, re/im).  Columns hold the (H re, H im,
     V re, V im) of D1, then of D2 and D3 for each context in turn.
@@ -210,15 +203,17 @@ def compile_network(src: SourceParams, contexts: list[Context]) -> np.ndarray:
     a1, a2, a3 = source_output(h, src)
     outputs = [a1]
     for ctx in contexts:
-        b2, b3 = stage1(a2, a3, h, ctx)
-        b2, b3 = stage2(b2, b3, h, ctx)
-        outputs += stage3(b2, b3, ctx)
+        outputs += propagate(a2, a3, h, ctx)
     return np.stack(outputs, axis=1).view(np.float64).reshape(NORMALS_PER_REALIZATION, -1)
 
 
+def power(a: np.ndarray) -> np.ndarray:
+    """Power |h|^2 + |v|^2 of a Jones vector (batched)."""
+    return (a.real**2 + a.imag**2).sum(axis=-1)
+
+
 def detect(a: np.ndarray, gamma: float) -> np.ndarray:
-    """Threshold detector: click iff norm(a) > gamma (strict)."""
+    """Threshold detector: click iff power(a) > gamma**2 (strict)."""
     if gamma < 0:
         raise ValueError(f"detection threshold must be >= 0, got {gamma}")
-    power = (a.real**2 + a.imag**2).sum(axis=-1)
-    return power > gamma * gamma
+    return power(a) > gamma * gamma

@@ -242,9 +242,15 @@ def flag(f):
     return "--" + f.name.replace("_", "-")
 
 
+# The settings `oracle` takes: it draws no samples.
+ORACLE_SETTINGS = {"t1", "t2", "t3", "theta1", "theta2", "out"}
+
+
 def commands_of(f):
     """The subcommands that take setting f as a flag."""
-    return ("sweep",) if f.name.startswith("sweep_") else ("run", "sweep", "oracle")
+    if f.name.startswith("sweep_"):
+        return ("sweep",)
+    return ("run", "sweep", "oracle") if f.name in ORACLE_SETTINGS else ("run", "sweep")
 
 
 def flags_of(command):
@@ -357,6 +363,12 @@ def test_invalid_input_exits_2(argv, config, workers, tmp_path, capsys, monkeypa
     assert "Traceback" not in err
 
 
+def test_oracle_runs_no_pool_so_reads_no_worker_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LGWAVE_WORKERS", "abc")
+    assert run_cli(["oracle", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "oracle.json").is_file()
+
+
 def test_unopenable_config_path_is_not_blamed_on_json(capsys):
     assert run_cli(["oracle", "--config", "a\x00b"]) == 2
     err = capsys.readouterr().err
@@ -389,3 +401,19 @@ def test_any_config_document_exits_0_or_2(doc):
             io.StringIO()
         ):
             assert main(["oracle", "--config", str(path)]) in (0, 2)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(doc=CONFIG_DOCS)
+@example(doc={"out": "o\x00x"})
+def test_any_config_document_loads_or_is_invalid_on_sweep(doc):
+    # sweep takes every key and load_config draws no samples, so each key's
+    # value check is reached: a RunConfig or InvalidConfig, nothing else
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        args = build_parser().parse_args(["sweep", "--config", str(path)])
+        try:
+            assert isinstance(load_config(args), RunConfig)
+        except cli.InvalidConfig:
+            pass

@@ -103,6 +103,17 @@ class TestEvaluateContext:
         se = np.sqrt(p * (1 - p) / n)
         assert abs(d1.mean() - p) < 3 * se
 
+    def test_single_state_is_its_row_of_the_batch(self):
+        # one (28,) state gives the scalar detections of its row of a batch
+        h = sample_hidden(np.random.Generator(np.random.Philox(13)), 64)
+        src = SourceParams(r=0.6)
+        for ctx in standard_contexts(OpticalParams(t1=0.3, theta1=0.7, theta2=-1.1)):
+            batch = evaluate_context(h, src, ctx, 1.2)
+            for i in range(len(h)):
+                single = evaluate_context(h[i], src, ctx, 1.2)
+                assert [d.shape for d in single] == [()] * 3
+                assert [bool(d) for d in single] == [bool(d[i]) for d in batch]
+
     def test_d1_independent_of_context(self):
         rng = np.random.Generator(np.random.Philox(12))
         h = sample_hidden(rng, 1000)
@@ -182,7 +193,8 @@ class TestCounterfactual:
         # one d1 per returned realization, one row per context; the returned
         # rows are some of the chunk's, and hold all of its heralds
         p = plan(samples=1 << 12)
-        for c, ((n, d1, d2, d3),) in enumerate(counterfactual_chunks([p], 0)):
+        chunks = counterfactual_chunks([p], 0, range(p.n_chunks()))
+        for c, ((n, d1, d2, d3),) in enumerate(chunks):
             assert n == p.chunk_size(c)
             assert d2.shape == d3.shape == (9, d1.shape[0])
             assert d1.shape[0] <= n
@@ -192,7 +204,8 @@ class TestCounterfactual:
 
     def test_counts_match_run_context_on_shared_streams(self):
         p = plan(samples=1 << 14, mode=MODE_SHARED)
-        totals = sum(_tally(*d) for (d,) in counterfactual_chunks([p], 0))
+        chunks = counterfactual_chunks([p], 0, range(p.n_chunks()))
+        totals = sum(_tally(*d) for (d,) in chunks)
         assert totals.shape == (len(STANDARD_CONTEXT_TABLE), len(COUNT_COLUMNS))
         for ctx, expected in zip(p.contexts, totals):
             assert np.array_equal(run_context([p], ctx, 0), [expected])
@@ -270,7 +283,7 @@ class TestKernelMatchesReference:
         # d3, and others only with d1 false (so the herald counts agree).
         plans = SHARED_PASS_CASES[case]
         p = plans[0]
-        for c, dets in enumerate(counterfactual_chunks(plans, 0)):
+        for c, dets in enumerate(counterfactual_chunks(plans, 0, range(p.n_chunks()))):
             h = sample_hidden(p.chunk_rng(SHARED_STREAM_KEY, 0, c), p.chunk_size(c))
             for q, (n, d1, d2, d3) in zip(plans, dets):
                 assert n == len(h) >= len(d1)
@@ -333,7 +346,8 @@ class TestPeakMemory:
 
     def test_counterfactual_chunks_holds_no_chunk_of_normals(self):
         p = plan(samples=2 * CHUNK, mode=MODE_SHARED)
-        peak = self.traced_peak(lambda: [None for _ in counterfactual_chunks([p], 0)])
+        chunks = range(p.n_chunks())
+        peak = self.traced_peak(lambda: [None for _ in counterfactual_chunks([p], 0, chunks)])
         assert peak < self.CHUNK_OF_NORMALS
 
 
@@ -343,7 +357,7 @@ class TestLargestSqueezing:
         # would raise here, where RuntimeWarnings are errors
         p = plan(samples=4099, r=R_MAX, mode=MODE_SHARED)
         assert np.isfinite(compile_network(p.source, p.contexts)).all()
-        for ((n, d1, d2, d3),) in counterfactual_chunks([p], 0):
+        for ((n, d1, d2, d3),) in counterfactual_chunks([p], 0, range(p.n_chunks())):
             assert len(d1) == n and d1.all() and d2.all() and d3.all()
 
 

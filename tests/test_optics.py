@@ -15,7 +15,7 @@ from lgwave.optics import (
     SourceParams,
     _z,
     detect,
-    norm,
+    power,
     sample_hidden,
     source_output,
     stage1,
@@ -202,12 +202,12 @@ class TestStages:
             t1=g.uniform(), t2=g.uniform(), t3=g.uniform(),
             theta1=g.uniform(0, 2 * np.pi), theta2=g.uniform(0, 2 * np.pi),
         )
-        p_in = norm(a2) ** 2 + norm(a3) ** 2
+        p_in = power(a2) + power(a3)
         for stage in (lambda x, y: stage1(x, y, h, c),
                       lambda x, y: stage2(x, y, h, c),
                       lambda x, y: stage3(x, y, c)):
             o2, o3 = stage(a2, a3)
-            p_out = norm(o2) ** 2 + norm(o3) ** 2
+            p_out = power(o2) + power(o3)
             np.testing.assert_allclose(p_out, p_in, rtol=1e-12, atol=1e-12)
 
     def test_blocked_output_independent_of_input(self):

@@ -12,6 +12,7 @@ from lgwave.oracle import (
 from lgwave.stats import marginal_12
 
 IDEAL = OpticalParams(t1=0.5, t2=0.75, t3=0.75, theta1=0.0, theta2=0.0)
+ALL_BITS = [(b1, b2, b3, b4) for b1 in (0, 1) for b2 in (0, 1) for b3 in (0, 1) for b4 in (0, 1)]
 
 
 def ctx(b, optics=IDEAL):
@@ -63,9 +64,7 @@ class TestAmplitudes:
         pair = amplitudes(ctx((1, 1, 1, 1)))
         assert sum(abs(a) ** 2 for a in pair) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("bits", [(b1, b2, b3, b4)
-                                      for b1 in (0, 1) for b2 in (0, 1)
-                                      for b3 in (0, 1) for b4 in (0, 1)])
+    @pytest.mark.parametrize("bits", ALL_BITS)
     def test_matches_matrix_product(self, bits):
         rng = np.random.default_rng(sum(b << i for i, b in enumerate(bits)))
         for optics in [IDEAL, OpticalParams(theta1=np.pi), random_optics(rng)]:
@@ -74,6 +73,24 @@ class TestAmplitudes:
             ap, am = transfer_amplitudes(c)
             assert alpha_plus == pytest.approx(ap, abs=1e-12)
             assert alpha_minus == pytest.approx(am, abs=1e-12)
+
+
+def all_contexts(optics):
+    return [ctx(bits, optics) for bits in ALL_BITS]
+
+
+# The vacuum inputs, by their 4-row block in sample_hidden's packed layout,
+# and when each reaches D2 or D3: a blocker's vacuum enters when its blocker
+# is inserted; zp1, zp2 and z3 enter before beam splitter 2 and get past it
+# only through an open BB3 or BB4; z3 gets past beam splitter 1 only through
+# an open BB1 or BB2.
+VACUUM_RULES = {
+    2: lambda b1, b2, b3, b4: (b1 or b2) and (b3 or b4),  # z3
+    3: lambda b1, b2, b3, b4: not b1 and (b3 or b4),  # zp1
+    4: lambda b1, b2, b3, b4: not b2 and (b3 or b4),  # zp2
+    5: lambda b1, b2, b3, b4: not b3,  # zp3
+    6: lambda b1, b2, b3, b4: not b4,  # zp4
+}
 
 
 class TestCompiledNetwork:
@@ -87,15 +104,29 @@ class TestCompiledNetwork:
         for _ in range(200):
             optics = random_optics(rng)
             r = rng.uniform(0, 1.5)
-            contexts = standard_contexts(optics)
-            row = compile_network(SourceParams(r=r), contexts)[z2_h_re].reshape(-1, 4)
             scale = SIGMA * np.cosh(r)
-            for j, c in enumerate(contexts):
-                alpha_plus, alpha_minus = amplitudes(c)
-                for det, alpha in ((1 + 2 * j, alpha_plus), (2 + 2 * j, alpha_minus)):
-                    h_re, h_im, v_re, v_im = row[det]
-                    assert abs(complex(h_re, h_im) / scale - alpha) < 1e-12
-                    assert v_re == v_im == 0.0
+            # the nine standard contexts, then all 16 blocker patterns
+            for contexts in (standard_contexts(optics), all_contexts(optics)):
+                row = compile_network(SourceParams(r=r), contexts)[z2_h_re].reshape(-1, 4)
+                for j, c in enumerate(contexts):
+                    alpha_plus, alpha_minus = amplitudes(c)
+                    for det, alpha in ((1 + 2 * j, alpha_plus), (2 + 2 * j, alpha_minus)):
+                        h_re, h_im, v_re, v_im = row[det]
+                        assert abs(complex(h_re, h_im) / scale - alpha) < 1e-12
+                        assert v_re == v_im == 0.0
+
+    def test_vacuum_reaches_the_exits_by_the_blocker_rule(self):
+        # Each vacuum input shows in a context's D2/D3 columns exactly when
+        # VACUUM_RULES says it reaches them; random optics keep every
+        # transmittance strictly between 0 and 1, so no path is cut.
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            m = compile_network(SourceParams(r=0.3), all_contexts(random_optics(rng)))
+            for j, bits in enumerate(ALL_BITS):
+                exits = m[:, 4 + 8 * j : 12 + 8 * j]
+                for vector, rule in VACUUM_RULES.items():
+                    reaches = exits[4 * vector : 4 * vector + 4].any()
+                    assert reaches == bool(rule(*bits)), (bits, vector)
 
 
 class TestTypeWeightSums:

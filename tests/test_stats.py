@@ -166,7 +166,7 @@ def shared_plan(samples=1 << 15, gamma=2.0, seed=9):
 
 def shared_accumulator(plan):
     acc = EfficiencyAccumulator()
-    for (d,) in counterfactual_chunks([plan], 0):
+    for (d,) in counterfactual_chunks([plan], 0, range(plan.n_chunks())):
         acc.update(*d)
     return acc
 
