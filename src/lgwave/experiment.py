@@ -18,6 +18,7 @@ import numpy as np
 
 from .harness import (
     CONTEXT_BITS,
+    CONTEXTS,
     COUNT_COLUMNS,
     GROUPS,
     MODE_SHARED,
@@ -128,9 +129,9 @@ def _reduce(plans: list[ExperimentPlan], efficiency: bool) -> list:
     plan = plans[0]
     shared = plan.mode == MODE_SHARED
     reps = range(plan.reps)
-    contexts = [] if shared else plan.contexts
+    contexts = () if shared else CONTEXTS
     chunks = range(plan.n_chunks())
-    tasks = [(run_context, plans, ctx, rep) for rep in reps for ctx in contexts]
+    tasks = [(run_context, plans, b, rep) for rep in reps for b in contexts]
     n_context_tasks = len(tasks)
     if shared or efficiency:
         tasks += [(_shared_chunk_task, plans, rep, c) for rep in reps for c in chunks]

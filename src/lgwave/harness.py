@@ -1,10 +1,16 @@
-"""Contexts, random-stream layout, the detection kernel and tallying.
+"""The standard contexts, the random-stream layout, the detection kernel
+and tallying.
 
-Stream layout (reproducible across machines and worker counts): realizations
-are processed in fixed chunks of CHUNK; chunk c of repetition `rep` for the
-context with packed bits `k` uses the Philox generator seeded by
-SeedSequence([seed, k, rep, c]).  In shared-draw mode every context sees the
-same hidden states, obtained with the reserved stream key SHARED_STREAM_KEY.
+A context is its blocker bits, a 4-tuple; the nine standard ones are
+CONTEXTS.  The optics are one OpticalParams, the plan's, shared by every
+context and passed to the kernel once.
+
+Stream layout (reproducible across machines and worker counts), all of it
+defined here: realizations are processed in fixed chunks of CHUNK; chunk c
+of repetition `rep` for context b uses the Philox generator seeded by
+SeedSequence([seed, stream_key(b), rep, c]), where stream_key packs the bits
+into 0..15.  In shared-draw mode every context sees the same hidden states,
+obtained with the reserved stream key SHARED_STREAM_KEY.
 Streams depend on neither r nor gamma, so one draw of a chunk serves every
 (r, gamma) point of a sweep grid.  A chunk's generator is read in
 consecutive ROW_BLOCK slices, which give the same numbers, in the same
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optics import (
-    Context,
+    Bits,
     OpticalParams,
     SourceParams,
     compile_network,
@@ -58,8 +64,16 @@ CHUNK = 1 << 16
 ROW_BLOCK = 2048
 GEMM_ROWS = 64
 
-# Context bits occupy stream keys 0..15; shared-draw streams get their own key.
+# Shared-draw streams get their own key, above the 0..15 of context bits.
 SHARED_STREAM_KEY = 16
+
+
+def stream_key(b: Bits) -> int:
+    """The independent-draw stream key of context b: b1 b2 b3 b4 packed as
+    the binary integer b1*8 + b2*4 + b3*2 + b4, in 0..15."""
+    b1, b2, b3, b4 = b
+    return b1 * 8 + b2 * 4 + b3 * 2 + b4
+
 
 MODE_INDEPENDENT = "independent-draws"
 MODE_SHARED = "shared-draws"
@@ -78,19 +92,16 @@ STANDARD_CONTEXT_TABLE: tuple[tuple[tuple[int, int, int, int], int | None, int |
     ((0, 1, 0, 1), -1, -1),
 )
 
-# Each standard context's blocker bits as one string, as counts.csv and
-# summary.json label them.
-CONTEXT_BITS = tuple("".join(map(str, bits)) for bits, _, _ in STANDARD_CONTEXT_TABLE)
+# The standard contexts' blocker bits, in table order, and each as one
+# string, as counts.csv and summary.json label them.
+CONTEXTS = tuple(bits for bits, _, _ in STANDARD_CONTEXT_TABLE)
+CONTEXT_BITS = tuple("".join(map(str, bits)) for bits in CONTEXTS)
 
 # The four experiment types, each the rows of STANDARD_CONTEXT_TABLE that
 # interrogate the same times.  Within a type, rows are ordered by (q1, q2),
 # with + before -.  t3 interrogates neither t1 nor t2; the other three are
 # the interrogating types that K and W compare.
 GROUPS = {"t3": slice(0, 1), "t1t3": slice(1, 3), "t2t3": slice(3, 5), "t1t2t3": slice(5, 9)}
-
-
-def standard_contexts(optics: OpticalParams) -> list[Context]:
-    return [Context(b=bits, optics=optics) for bits, _, _ in STANDARD_CONTEXT_TABLE]
 
 
 # The columns of a context's count row: realizations, heralds, exclusive
@@ -123,10 +134,6 @@ class ExperimentPlan:
         if self.mode not in (MODE_INDEPENDENT, MODE_SHARED):
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    @property
-    def contexts(self) -> list[Context]:
-        return standard_contexts(self.optics)
-
     def n_chunks(self) -> int:
         return (self.samples + CHUNK - 1) // CHUNK
 
@@ -140,17 +147,17 @@ class ExperimentPlan:
 
 
 def evaluate_context(
-    h: np.ndarray, src: SourceParams, ctx: Context, gamma: float
+    h: np.ndarray, src: SourceParams, b: Bits, optics: OpticalParams, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full pipeline source -> interferometer (propagate) -> detection.
 
     Returns the threshold events (d1, d2, d3) at the herald detector D1 and
-    the two exits D2, D3.  The heralding beam a1 is untouched by the
-    interferometer, so d1 depends only on the source draw.  Works on single
-    states or batches.
+    the two exits D2, D3 in context b.  The heralding beam a1 is untouched
+    by the interferometer, so d1 depends only on the source draw.  Works on
+    single states or batches.
     """
     a1, a2, a3 = source_output(h, src)
-    a2, a3 = propagate(a2, a3, h, ctx)
+    a2, a3 = propagate(a2, a3, h, b, optics)
     return detect(a1, gamma), detect(a2, gamma), detect(a3, gamma)
 
 
@@ -202,14 +209,14 @@ HERALD_COLUMNS = 8
 
 
 def _detections(
-    plans: list[ExperimentPlan], key: int, rep_index: int, contexts: list[Context], chunks: range
+    plans: list[ExperimentPlan], key: int, rep_index: int, contexts: tuple[Bits, ...], chunks: range
 ) -> Iterator[list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
     """Per chunk of stream `key`, one (n_total, d1, d2, d3) per grid point
     in `plans`, every context evaluated on the chunk's one draw.  The plans
-    differ at most in source and gamma; the stream and the chunking are
-    plans[0]'s.  n_total is the chunk's row count; d1, d2 and d3 are the
-    detections on a set of its rows, in stream order, that holds every row
-    heralded at that point.  d1 has shape (n,) and is shared by the
+    differ at most in source and gamma; the optics, the stream and the
+    chunking are plans[0]'s.  n_total is the chunk's row count; d1, d2 and
+    d3 are the detections on a set of its rows, in stream order, that holds
+    every row heralded at that point.  d1 has shape (n,) and is shared by the
     contexts: the heralding beam never touches the blockers.  d2 and d3
     have shape (k, n), one row per context.
 
@@ -237,16 +244,16 @@ def _detections(
     row multiplied alone rounds differently, hence _transfer's padding.
     evaluate_context stays the reference: it rounds differently from both,
     so they can only disagree on a power within rounding of gamma**2."""
+    plan = plans[0]
     by_source: dict[SourceParams, list[tuple[int, float]]] = {}
     for i, p in enumerate(plans):
         by_source.setdefault(p.source, []).append((i, p.gamma * p.gamma))
     networks = []
     for src, points in by_source.items():
-        m = compile_network(src, contexts)
+        m = compile_network(src, plan.optics, contexts)
         lowest = min(threshold for _, threshold in points)
         networks.append((m, np.ascontiguousarray(m[:, :HERALD_COLUMNS]), lowest, points))
     heralded_only = len(contexts) > 1
-    plan = plans[0]
     for c in chunks:
         n = plan.chunk_size(c)
         rng = plan.chunk_rng(key, rep_index, c)
@@ -263,14 +270,14 @@ def _detections(
         yield [(n, d[0, :f], d[1::2, :f], d[2::2, :f]) for d, f in zip(det, filled)]
 
 
-def run_context(plans: list[ExperimentPlan], ctx: Context, rep_index: int) -> np.ndarray:
-    """Tally one context over the samples of one repetition at every grid
+def run_context(plans: list[ExperimentPlan], b: Bits, rep_index: int) -> np.ndarray:
+    """Tally context b over the samples of one repetition at every grid
     point in `plans`, drawing each chunk once; one count row per point,
     shape (points, 5)."""
     plan = plans[0]
-    key = SHARED_STREAM_KEY if plan.mode == MODE_SHARED else ctx.bits_int
+    key = SHARED_STREAM_KEY if plan.mode == MODE_SHARED else stream_key(b)
     totals = np.zeros((len(plans), len(COUNT_COLUMNS)), dtype=np.int64)
-    for dets in _detections(plans, key, rep_index, [ctx], range(plan.n_chunks())):
+    for dets in _detections(plans, key, rep_index, (b,), range(plan.n_chunks())):
         totals += np.concatenate([_tally(*d) for d in dets])
     return totals
 
@@ -282,4 +289,4 @@ def counterfactual_chunks(
     nine contexts evaluated on it at every grid point in `plans`; per chunk,
     one (n_total, d1, d2, d3) per point, as _detections yields them.  Chunks
     arrive in index order."""
-    return _detections(plans, SHARED_STREAM_KEY, rep_index, plans[0].contexts, chunk_indices)
+    return _detections(plans, SHARED_STREAM_KEY, rep_index, CONTEXTS, chunk_indices)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,25 +91,9 @@ class OpticalParams:
         require_finite("theta2", self.theta2)
 
 
-@dataclass(frozen=True)
-class Context:
-    """A measurement context: blocker bits plus the optical parameters.
-
-    b = (b1, b2, b3, b4); bit 0 means the corresponding blocker is inserted.
-    """
-
-    b: tuple[int, int, int, int]
-    optics: OpticalParams = field(default_factory=OpticalParams)
-
-    def __post_init__(self):
-        if len(self.b) != 4 or any(bit not in (0, 1) for bit in self.b):
-            raise ValueError(f"blocker bits must be a 4-tuple of 0/1, got {self.b}")
-
-    @property
-    def bits_int(self) -> int:
-        """Context bits packed as b1 b2 b3 b4 -> integer 0..15 (stream key)."""
-        b1, b2, b3, b4 = self.b
-        return b1 * 8 + b2 * 4 + b3 * 2 + b4
+# A measurement context is its blocker bits b = (b1, b2, b3, b4); bit bn = 0
+# means blocker BBn is inserted.  The optics are the same in every context.
+Bits = tuple[int, int, int, int]
 
 
 def sample_hidden(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -155,41 +139,43 @@ def _split(a2: np.ndarray, a3: np.ndarray, t: float):
     return sq_r * a2 - sq_t * a3, sq_t * a2 + sq_r * a3
 
 
-def _block(n: int, a: np.ndarray, h: np.ndarray, ctx: Context) -> np.ndarray:
+def _block(n: int, a: np.ndarray, h: np.ndarray, b: Bits) -> np.ndarray:
     """Arm amplitude a past blocker BBn: a itself, or SIGMA times the
     blocker's fresh vacuum zpn of rows h when it is inserted (bit bn = 0)."""
-    return a if ctx.b[n - 1] else SIGMA * _z(h, f"zp{n}")
+    return a if b[n - 1] else SIGMA * _z(h, f"zp{n}")
 
 
-def stage1(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, ctx: Context):
+def stage1(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, b: Bits, optics: OpticalParams):
     """First beam splitter, phase delay theta1 and blockers BB1/BB2."""
-    a2_out, a3_out = _split(a2, a3, ctx.optics.t1)
-    a3_out = np.exp(1j * ctx.optics.theta1) * a3_out
-    return _block(2, a2_out, h, ctx), _block(1, a3_out, h, ctx)
+    a2_out, a3_out = _split(a2, a3, optics.t1)
+    a3_out = np.exp(1j * optics.theta1) * a3_out
+    return _block(2, a2_out, h, b), _block(1, a3_out, h, b)
 
 
-def stage2(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, ctx: Context):
+def stage2(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, b: Bits, optics: OpticalParams):
     """Second beam splitter, phase delay theta2 and blockers BB3/BB4."""
-    a2_out, a3_out = _split(a2, a3, ctx.optics.t2)
-    a2_out = np.exp(1j * ctx.optics.theta2) * a2_out
-    return _block(3, a2_out, h, ctx), _block(4, a3_out, h, ctx)
+    a2_out, a3_out = _split(a2, a3, optics.t2)
+    a2_out = np.exp(1j * optics.theta2) * a2_out
+    return _block(3, a2_out, h, b), _block(4, a3_out, h, b)
 
 
-def stage3(a2: np.ndarray, a3: np.ndarray, ctx: Context):
+def stage3(a2: np.ndarray, a3: np.ndarray, optics: OpticalParams):
     """Final recombining beam splitter; no blockers, no noise."""
-    a2_out, a3_out = _split(a2, a3, ctx.optics.t3)
+    a2_out, a3_out = _split(a2, a3, optics.t3)
     return a3_out, a2_out
 
 
-def propagate(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, ctx: Context):
-    """The interferometer: the arms (a2, a3) through stage1, stage2 and
-    stage3, in that order, to the exits D2 and D3."""
-    a2, a3 = stage1(a2, a3, h, ctx)
-    a2, a3 = stage2(a2, a3, h, ctx)
-    return stage3(a2, a3, ctx)
+def propagate(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, b: Bits, optics: OpticalParams):
+    """The interferometer in context b: the arms (a2, a3) through stage1,
+    stage2 and stage3, in that order, to the exits D2 and D3."""
+    a2, a3 = stage1(a2, a3, h, b, optics)
+    a2, a3 = stage2(a2, a3, h, b, optics)
+    return stage3(a2, a3, optics)
 
 
-def compile_network(src: SourceParams, contexts: list[Context]) -> np.ndarray:
+def compile_network(
+    src: SourceParams, optics: OpticalParams, contexts: tuple[Bits, ...]
+) -> np.ndarray:
     """Real transfer matrix of the herald D1 and of D2, D3 in each context.
 
     Every detector amplitude is real-linear in the 28 reals of a hidden
@@ -202,8 +188,8 @@ def compile_network(src: SourceParams, contexts: list[Context]) -> np.ndarray:
     h = np.eye(NORMALS_PER_REALIZATION)
     a1, a2, a3 = source_output(h, src)
     outputs = [a1]
-    for ctx in contexts:
-        outputs += propagate(a2, a3, h, ctx)
+    for b in contexts:
+        outputs += propagate(a2, a3, h, b, optics)
     return np.stack(outputs, axis=1).view(np.float64).reshape(NORMALS_PER_REALIZATION, -1)
 
 

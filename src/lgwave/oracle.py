@@ -10,21 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harness import GROUPS, standard_contexts
-from .optics import Context, OpticalParams
+from .harness import CONTEXTS, GROUPS
+from .optics import Bits, OpticalParams
 from .stats import INTERROGATING, correlation, k_statistic, marginal_12, w_statistic
 
 
-def amplitudes(ctx: Context) -> tuple[complex, complex]:
-    """Evaluate the four-term amplitude formulas for a blocker configuration:
+def amplitudes(b: Bits, optics: OpticalParams) -> tuple[complex, complex]:
+    """Evaluate the four-term amplitude formulas for blocker bits b:
     (alpha_plus, alpha_minus), the amplitudes for a coincidence at the upper
     (+) and lower (-) exit."""
-    b1, b2, b3, b4 = ctx.b
-    o = ctx.optics
-    t1, t2, t3 = o.t1, o.t2, o.t3
+    b1, b2, b3, b4 = b
+    t1, t2, t3 = optics.t1, optics.t2, optics.t3
     r1, r2, r3 = 1.0 - t1, 1.0 - t2, 1.0 - t3
-    e1 = np.exp(1j * o.theta1)
-    e2 = np.exp(1j * o.theta2)
+    e1 = np.exp(1j * optics.theta1)
+    e2 = np.exp(1j * optics.theta2)
     alpha_plus = (
         b2 * b3 * e2 * np.sqrt(r1 * r2 * t3)
         - b1 * b3 * e1 * e2 * np.sqrt(t1 * t2 * t3)
@@ -42,7 +41,7 @@ def amplitudes(ctx: Context) -> tuple[complex, complex]:
 
 def _weights(optics: OpticalParams) -> np.ndarray:
     """(|alpha+|^2, |alpha-|^2) of each standard context, one row each."""
-    return np.array([[abs(a) ** 2 for a in amplitudes(c)] for c in standard_contexts(optics)])
+    return np.array([[abs(a) ** 2 for a in amplitudes(b, optics)] for b in CONTEXTS])
 
 
 def type_weight_sums(optics: OpticalParams) -> dict[str, float]:

@@ -12,7 +12,7 @@ numpy only.
 
 import numpy as np
 
-from lgwave.harness import N_DOUBLE, N_HERALD, N_MINUS, N_PLUS, N_TOTAL, standard_contexts
+from lgwave.harness import CONTEXTS, N_DOUBLE, N_HERALD, N_MINUS, N_PLUS, N_TOTAL
 from lgwave.optics import OpticalParams
 from lgwave.oracle import amplitudes
 
@@ -86,8 +86,8 @@ def count_z(
     for counts of shape (..., 9, 5): n_herald, n_plus + n_double (clicks at
     D2, the + exit) and n_minus + n_double (clicks at D3, the - exit)."""
     p = np.array([
-        [coincidence_probability(r, gamma, abs(a) ** 2) for a in amplitudes(ctx)]
-        for ctx in standard_contexts(optics)
+        [coincidence_probability(r, gamma, abs(a) ** 2) for a in amplitudes(b, optics)]
+        for b in CONTEXTS
     ])
     exits = counts[..., [N_PLUS, N_MINUS]] + counts[..., [N_DOUBLE]]
     exit_z = _binomial_z(exits, counts[..., [N_TOTAL]], p)

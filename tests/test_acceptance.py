@@ -22,7 +22,7 @@ from lgwave.experiment import run_experiment, run_kw_only
 from lgwave.harness import ExperimentPlan
 from lgwave.optics import OpticalParams, SourceParams, sample_hidden, SIGMA
 from lgwave.optics import power as beam_power
-from lgwave.optics import Context, stage1, stage2, stage3
+from lgwave.optics import stage1, stage2, stage3
 from lgwave.oracle import predicted_pmfs, predicted_stats, type_weight_sums
 from lgwave.stats import marginal_lg
 
@@ -166,18 +166,16 @@ def test_10_physics_micro_oracles():
     h = sample_hidden(rng, n)
     a2 = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     a3 = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    ctx = Context(
-        b=(1, 1, 1, 1),
-        optics=OpticalParams(
-            t1=rng.uniform(), t2=rng.uniform(), t3=rng.uniform(),
-            theta1=rng.uniform(0, 2 * np.pi), theta2=rng.uniform(0, 2 * np.pi),
-        ),
+    b = (1, 1, 1, 1)
+    optics = OpticalParams(
+        t1=rng.uniform(), t2=rng.uniform(), t3=rng.uniform(),
+        theta1=rng.uniform(0, 2 * np.pi), theta2=rng.uniform(0, 2 * np.pi),
     )
     p_in = beam_power(a2) + beam_power(a3)
     unitary_ok = True
-    for stage in (lambda x, y: stage1(x, y, h, ctx),
-                  lambda x, y: stage2(x, y, h, ctx),
-                  lambda x, y: stage3(x, y, ctx)):
+    for stage in (lambda x, y: stage1(x, y, h, b, optics),
+                  lambda x, y: stage2(x, y, h, b, optics),
+                  lambda x, y: stage3(x, y, optics)):
         o2, o3 = stage(a2, a3)
         unitary_ok = unitary_ok and np.allclose(
             beam_power(o2) + beam_power(o3), p_in, rtol=1e-12, atol=1e-12

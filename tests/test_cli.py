@@ -211,6 +211,22 @@ class TestSweep:
         ]) == 0
         assert len((tmp_path / "sweep.csv").read_text().strip().splitlines()) == 2
 
+    def test_r_and_gamma_checked_but_left_out_of_the_grid(self, tmp_path, capsys):
+        # the grid sets every point's r and gamma: --r and --gamma, as flags
+        # or config keys, are validated and leave sweep.csv as it is
+        grid = ["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
+                "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 0.9, "gamma": 3.0}))
+        for i, extra in enumerate([["--r", "5", "--gamma", "9"], ["--config", str(cfg)]]):
+            out = tmp_path / str(i)
+            assert run_cli([*grid, *extra, "--out", str(out)]) == 0
+            golden = (DATA / "golden_sweep_independent.csv").read_bytes()
+            assert (out / "sweep.csv").read_bytes() == golden, extra
+        for bad in (["--r", "400"], ["--gamma", "-1"]):
+            assert run_cli([*grid, *bad, "--out", str(tmp_path / "bad")]) == 2
+            assert "invalid-config" in capsys.readouterr().err
+
     def test_empty_grid_rejected(self, capsys):
         assert run_cli(["sweep", "--sweep-r", ""]) == 2
         assert "invalid-config" in capsys.readouterr().err

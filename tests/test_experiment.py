@@ -21,6 +21,7 @@ from lgwave.experiment import (
 from lgwave.harness import (
     CHUNK,
     CONTEXT_BITS,
+    CONTEXTS,
     COUNT_COLUMNS,
     GROUPS,
     MODE_SHARED,
@@ -176,8 +177,8 @@ class TestReduce:
             if mode == MODE_SHARED:
                 assert np.array_equal(counts[rep], acc.counts)
             else:
-                for j, ctx in enumerate(p.contexts):
-                    assert np.array_equal(counts[rep, j], run_context([p], ctx, rep)[0])
+                for j, b in enumerate(CONTEXTS):
+                    assert np.array_equal(counts[rep, j], run_context([p], b, rep)[0])
 
     def test_failing_task_drops_the_queue(self, monkeypatch):
         # the first task fails: the error surfaces without the queued tasks

@@ -10,6 +10,7 @@ import pytest
 
 from lgwave.harness import (
     CHUNK,
+    CONTEXTS,
     COUNT_COLUMNS,
     GROUPS,
     HERALD_COLUMNS,
@@ -27,7 +28,7 @@ from lgwave.harness import (
     counterfactual_chunks,
     evaluate_context,
     run_context,
-    standard_contexts,
+    stream_key,
 )
 from lgwave.experiment import _shared_chunk_task
 from lgwave.optics import (
@@ -47,8 +48,8 @@ def plan(samples=1 << 14, reps=1, mode=MODE_INDEPENDENT, seed=0, r=0.3, gamma=2.
     )
 
 
-def open_context():
-    return standard_contexts(OpticalParams())[0]
+OPEN = CONTEXTS[0]
+DEFAULT_OPTICS = OpticalParams()
 
 
 class TestStandardContexts:
@@ -59,6 +60,16 @@ class TestStandardContexts:
         assert set(bits[1:3]) == {(1, 0, 1, 1), (0, 1, 1, 1)}
         assert set(bits[3:5]) == {(1, 1, 1, 0), (1, 1, 0, 1)}
         assert set(bits[5:]) == {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)}
+        assert CONTEXTS == tuple(bits)
+
+    def test_stream_keys(self):
+        # b1 b2 b3 b4 read as a binary number: nine distinct keys, none of
+        # them the shared-draw stream's
+        keys = [stream_key(b) for b in CONTEXTS]
+        assert keys == [15, 11, 7, 14, 13, 10, 9, 6, 5]
+        assert SHARED_STREAM_KEY == 16 and SHARED_STREAM_KEY not in keys
+        every = [tuple(int(bit) for bit in f"{k:04b}") for k in range(16)]
+        assert [stream_key(b) for b in every] == list(range(16))
 
     def test_groups_partition_rows_by_type(self):
         # The four types cover rows 0-8 once each, in order.
@@ -80,13 +91,13 @@ class TestEvaluateContext:
     def test_zero_threshold_all_fire(self):
         rng = np.random.Generator(np.random.Philox(0))
         h = sample_hidden(rng, 100)
-        d1, d2, d3 = evaluate_context(h, SourceParams(r=0.3), open_context(), 0.0)
+        d1, d2, d3 = evaluate_context(h, SourceParams(r=0.3), OPEN, DEFAULT_OPTICS, 0.0)
         assert d1.all() and d2.all() and d3.all()
 
     def test_huge_threshold_none_fire(self):
         rng = np.random.Generator(np.random.Philox(0))
         h = sample_hidden(rng, 100)
-        d1, d2, d3 = evaluate_context(h, SourceParams(r=0.3), open_context(), 1e6)
+        d1, d2, d3 = evaluate_context(h, SourceParams(r=0.3), OPEN, DEFAULT_OPTICS, 1e6)
         assert not d1.any() and not d2.any() and not d3.any()
 
     def test_herald_rate_matches_chi2_tail(self):
@@ -96,7 +107,7 @@ class TestEvaluateContext:
         n = 1 << 18
         rng = np.random.Generator(np.random.Philox(11))
         h = sample_hidden(rng, n)
-        d1, _, _ = evaluate_context(h, SourceParams(r=r), open_context(), gamma)
+        d1, _, _ = evaluate_context(h, SourceParams(r=r), OPEN, DEFAULT_OPTICS, gamma)
         v = np.cosh(2 * r) / 2
         x = 2 * gamma**2 / v
         p = np.exp(-x / 2) * (1 + x / 2)
@@ -107,10 +118,11 @@ class TestEvaluateContext:
         # one (28,) state gives the scalar detections of its row of a batch
         h = sample_hidden(np.random.Generator(np.random.Philox(13)), 64)
         src = SourceParams(r=0.6)
-        for ctx in standard_contexts(OpticalParams(t1=0.3, theta1=0.7, theta2=-1.1)):
-            batch = evaluate_context(h, src, ctx, 1.2)
+        optics = OpticalParams(t1=0.3, theta1=0.7, theta2=-1.1)
+        for b in CONTEXTS:
+            batch = evaluate_context(h, src, b, optics, 1.2)
             for i in range(len(h)):
-                single = evaluate_context(h[i], src, ctx, 1.2)
+                single = evaluate_context(h[i], src, b, optics, 1.2)
                 assert [d.shape for d in single] == [()] * 3
                 assert [bool(d) for d in single] == [bool(d[i]) for d in batch]
 
@@ -118,10 +130,7 @@ class TestEvaluateContext:
         rng = np.random.Generator(np.random.Philox(12))
         h = sample_hidden(rng, 1000)
         src = SourceParams(r=0.3)
-        d1s = [
-            evaluate_context(h, src, ctx, 2.0)[0]
-            for ctx in standard_contexts(OpticalParams())
-        ]
+        d1s = [evaluate_context(h, src, b, DEFAULT_OPTICS, 2.0)[0] for b in CONTEXTS]
         for d1 in d1s[1:]:
             assert np.array_equal(d1, d1s[0])
 
@@ -166,25 +175,25 @@ class TestTally:
 class TestRunContext:
     def test_zero_threshold_all_double(self):
         n = 1 << 10
-        (c,) = run_context([plan(samples=n, gamma=0.0)], open_context(), 0)
+        (c,) = run_context([plan(samples=n, gamma=0.0)], OPEN, 0)
         # n_total, n_herald, n_plus, n_minus, n_double
         assert c.tolist() == [n, n, 0, 0, n]
 
     def test_count_ordering(self):
-        (c,) = run_context([plan(samples=1 << 16)], open_context(), 0)
+        (c,) = run_context([plan(samples=1 << 16)], OPEN, 0)
         n_total, n_herald, n_plus, n_minus, n_double = c
         assert n_plus + n_minus + n_double <= n_herald <= n_total
 
     def test_deterministic(self):
         p = plan(samples=CHUNK + 100)  # spans a partial chunk
-        c1 = run_context([p], open_context(), 0)
-        c2 = run_context([p], open_context(), 0)
+        c1 = run_context([p], OPEN, 0)
+        c2 = run_context([p], OPEN, 0)
         assert np.array_equal(c1, c2)
 
     def test_reps_use_fresh_streams(self):
         p = plan(samples=1 << 14)
-        c0 = run_context([p], open_context(), 0)
-        c1 = run_context([p], open_context(), 1)
+        c0 = run_context([p], OPEN, 0)
+        c1 = run_context([p], OPEN, 1)
         assert not np.array_equal(c0, c1)
 
 
@@ -199,7 +208,7 @@ class TestCounterfactual:
             assert d2.shape == d3.shape == (9, d1.shape[0])
             assert d1.shape[0] <= n
             h = sample_hidden(p.chunk_rng(SHARED_STREAM_KEY, 0, c), n)
-            e1, _, _ = evaluate_context(h, p.source, open_context(), p.gamma)
+            e1, _, _ = evaluate_context(h, p.source, OPEN, p.optics, p.gamma)
             assert np.count_nonzero(d1) == np.count_nonzero(e1)
 
     def test_counts_match_run_context_on_shared_streams(self):
@@ -207,15 +216,14 @@ class TestCounterfactual:
         chunks = counterfactual_chunks([p], 0, range(p.n_chunks()))
         totals = sum(_tally(*d) for (d,) in chunks)
         assert totals.shape == (len(STANDARD_CONTEXT_TABLE), len(COUNT_COLUMNS))
-        for ctx, expected in zip(p.contexts, totals):
-            assert np.array_equal(run_context([p], ctx, 0), [expected])
+        for b, expected in zip(CONTEXTS, totals):
+            assert np.array_equal(run_context([p], b, 0), [expected])
 
     def test_modes_statistically_compatible(self):
         # z-score between coincidence rates of the two draw modes < 4
         n = 1 << 17
-        ctx = open_context()
-        (c_ind,) = run_context([plan(samples=n, mode=MODE_INDEPENDENT, seed=5)], ctx, 0)
-        (c_sh,) = run_context([plan(samples=n, mode=MODE_SHARED, seed=5)], ctx, 0)
+        (c_ind,) = run_context([plan(samples=n, mode=MODE_INDEPENDENT, seed=5)], OPEN, 0)
+        (c_sh,) = run_context([plan(samples=n, mode=MODE_SHARED, seed=5)], OPEN, 0)
         for col in (N_HERALD, N_PLUS, N_MINUS):
             x, y = int(c_ind[col]), int(c_sh[col])
             p_hat = (x + y) / (2 * n)
@@ -287,8 +295,8 @@ class TestKernelMatchesReference:
             h = sample_hidden(p.chunk_rng(SHARED_STREAM_KEY, 0, c), p.chunk_size(c))
             for q, (n, d1, d2, d3) in zip(plans, dets):
                 assert n == len(h) >= len(d1)
-                for j, ctx in enumerate(q.contexts):
-                    e1, e2, e3 = evaluate_context(h, q.source, ctx, q.gamma)
+                for j, b in enumerate(CONTEXTS):
+                    e1, e2, e3 = evaluate_context(h, q.source, b, q.optics, q.gamma)
                     assert np.count_nonzero(d1) == np.count_nonzero(e1)
                     assert np.array_equal(d2[j, d1], e2[e1])
                     assert np.array_equal(d3[j, d1], e3[e1])
@@ -296,14 +304,14 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("i", range(20))
     def test_run_context_counts(self, i):
         p = random_plan(i)
-        ctx = p.contexts[i % 9]
-        key = SHARED_STREAM_KEY if p.mode == MODE_SHARED else ctx.bits_int
+        b = CONTEXTS[i % 9]
+        key = SHARED_STREAM_KEY if p.mode == MODE_SHARED else stream_key(b)
         expected = np.zeros(len(COUNT_COLUMNS), dtype=np.int64)
         for c in range(p.n_chunks()):
             h = sample_hidden(p.chunk_rng(key, 0, c), p.chunk_size(c))
-            (counts,) = _tally(len(h), *evaluate_context(h, p.source, ctx, p.gamma))
+            (counts,) = _tally(len(h), *evaluate_context(h, p.source, b, p.optics, p.gamma))
             expected += counts
-        assert np.array_equal(run_context([p], ctx, 0), [expected])
+        assert np.array_equal(run_context([p], b, 0), [expected])
 
     @pytest.mark.parametrize("i", range(12))
     def test_grid_counts_match_one_point_calls(self, i):
@@ -312,7 +320,7 @@ class TestKernelMatchesReference:
         # independent-draws mode
         plans = random_grid(i)
         p = plans[0]
-        ctx = p.contexts[i % 9]
+        b = CONTEXTS[i % 9]
         for rep in range(p.reps):
             for c in range(p.n_chunks()):
                 fused = _shared_chunk_task(plans, rep, c)
@@ -320,8 +328,8 @@ class TestKernelMatchesReference:
                 for acc, q in zip(fused, plans):
                     assert np.array_equal(acc.counts, _shared_chunk_task([q], rep, c)[0].counts)
             assert np.array_equal(
-                run_context(plans, ctx, rep),
-                np.concatenate([run_context([q], ctx, rep) for q in plans]),
+                run_context(plans, b, rep),
+                np.concatenate([run_context([q], b, rep) for q in plans]),
             )
 
 
@@ -341,7 +349,7 @@ class TestPeakMemory:
 
     def test_run_context_holds_no_chunk_of_normals(self):
         p = plan(samples=2 * CHUNK)
-        peak = self.traced_peak(lambda: run_context([p], open_context(), 0))
+        peak = self.traced_peak(lambda: run_context([p], OPEN, 0))
         assert peak < self.CHUNK_OF_NORMALS
 
     def test_counterfactual_chunks_holds_no_chunk_of_normals(self):
@@ -356,7 +364,7 @@ class TestLargestSqueezing:
         # at R_MAX every power is finite and far above gamma^2; an overflow
         # would raise here, where RuntimeWarnings are errors
         p = plan(samples=4099, r=R_MAX, mode=MODE_SHARED)
-        assert np.isfinite(compile_network(p.source, p.contexts)).all()
+        assert np.isfinite(compile_network(p.source, p.optics, CONTEXTS)).all()
         for ((n, d1, d2, d3),) in counterfactual_chunks([p], 0, range(p.n_chunks())):
             assert len(d1) == n and d1.all() and d2.all() and d3.all()
 
@@ -368,7 +376,7 @@ class TestBlasFacts:
     _transfer multiplies it.  If a BLAS upgrade breaks one, this names the
     cause before the golden files fail."""
 
-    NETWORKS = {r: compile_network(SourceParams(r=r), standard_contexts(OpticalParams()))
+    NETWORKS = {r: compile_network(SourceParams(r=r), OpticalParams(), CONTEXTS)
                 for r in (0.0, 0.3, 0.9)}
 
     def blocks(self, seed):

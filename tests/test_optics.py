@@ -10,7 +10,6 @@ from lgwave.optics import (
     NORMALS_PER_REALIZATION,
     R_MAX,
     SIGMA,
-    Context,
     OpticalParams,
     SourceParams,
     _z,
@@ -139,8 +138,7 @@ class TestSourceOutput:
                 SourceParams(r=r)
 
 
-def ctx(b, t1=0.5, t2=0.75, t3=0.75, theta1=0.0, theta2=0.0):
-    return Context(b=b, optics=OpticalParams(t1=t1, t2=t2, t3=t3, theta1=theta1, theta2=theta2))
+OPEN = (1, 1, 1, 1)
 
 
 class TestStages:
@@ -148,7 +146,7 @@ class TestStages:
         h = make_state()
         a2 = np.array([1.0, 0.0], dtype=complex)
         a3 = np.zeros(2, dtype=complex)
-        out2, out3 = stage1(a2, a3, h, ctx((1, 1, 1, 1), t1=0.5, theta1=0.0))
+        out2, out3 = stage1(a2, a3, h, OPEN, OpticalParams(t1=0.5, theta1=0.0))
         np.testing.assert_allclose(out2, [np.sqrt(0.5), 0])
         np.testing.assert_allclose(out3, [np.sqrt(0.5), 0])
 
@@ -157,14 +155,14 @@ class TestStages:
         h = make_state(zp2=zp2)
         a2 = np.array([5.0, 5.0], dtype=complex)
         a3 = np.array([-3.0, 1.0], dtype=complex)
-        out2, _ = stage1(a2, a3, h, ctx((1, 0, 1, 1)))
+        out2, _ = stage1(a2, a3, h, (1, 0, 1, 1), OpticalParams())
         np.testing.assert_allclose(out2, SIGMA * zp2)
 
     def test_stage2_open(self):
         h = make_state()
         a2 = np.array([1.0, 0.0], dtype=complex)
         a3 = np.zeros(2, dtype=complex)
-        out2, out3 = stage2(a2, a3, h, ctx((1, 1, 1, 1), t2=0.75, theta2=0.0))
+        out2, out3 = stage2(a2, a3, h, OPEN, OpticalParams(t2=0.75, theta2=0.0))
         np.testing.assert_allclose(out2, [0.5, 0])
         np.testing.assert_allclose(out3, [np.sqrt(0.75), 0])
 
@@ -173,20 +171,20 @@ class TestStages:
         h = make_state(zp4=zp4)
         a2 = np.array([5.0, 5.0], dtype=complex)
         a3 = np.array([-3.0, 1.0], dtype=complex)
-        _, out3 = stage2(a2, a3, h, ctx((1, 1, 1, 0)))
+        _, out3 = stage2(a2, a3, h, (1, 1, 1, 0), OpticalParams())
         np.testing.assert_allclose(out3, SIGMA * zp4)
 
     def test_stage3_full_transmission(self):
         a2 = np.array([1.0, 2j])
         a3 = np.array([3.0, -1j])
-        out2, out3 = stage3(a2, a3, ctx((1, 1, 1, 1), t3=1.0))
+        out2, out3 = stage3(a2, a3, OpticalParams(t3=1.0))
         np.testing.assert_allclose(out2, a2)
         np.testing.assert_allclose(out3, -a3)
 
     def test_stage3_example(self):
         a2 = np.array([1.0, 0.0], dtype=complex)
         a3 = np.array([1.0, 0.0], dtype=complex)
-        out2, out3 = stage3(a2, a3, ctx((1, 1, 1, 1), t3=0.75))
+        out2, out3 = stage3(a2, a3, OpticalParams(t3=0.75))
         np.testing.assert_allclose(out2, [np.sqrt(0.75) + 0.5, 0])
         np.testing.assert_allclose(out3, [0.5 - np.sqrt(0.75), 0])
 
@@ -197,15 +195,14 @@ class TestStages:
         h = sample_hidden(g, n)
         a2 = (g.standard_normal((n, 2)) + 1j * g.standard_normal((n, 2)))
         a3 = (g.standard_normal((n, 2)) + 1j * g.standard_normal((n, 2)))
-        c = ctx(
-            (1, 1, 1, 1),
+        optics = OpticalParams(
             t1=g.uniform(), t2=g.uniform(), t3=g.uniform(),
             theta1=g.uniform(0, 2 * np.pi), theta2=g.uniform(0, 2 * np.pi),
         )
         p_in = power(a2) + power(a3)
-        for stage in (lambda x, y: stage1(x, y, h, c),
-                      lambda x, y: stage2(x, y, h, c),
-                      lambda x, y: stage3(x, y, c)):
+        for stage in (lambda x, y: stage1(x, y, h, OPEN, optics),
+                      lambda x, y: stage2(x, y, h, OPEN, optics),
+                      lambda x, y: stage3(x, y, optics)):
             o2, o3 = stage(a2, a3)
             p_out = power(o2) + power(o3)
             np.testing.assert_allclose(p_out, p_in, rtol=1e-12, atol=1e-12)
@@ -216,7 +213,7 @@ class TestStages:
         h = sample_hidden(g, n)
         a2 = g.standard_normal((n, 2)) + 1j * g.standard_normal((n, 2))
         a3 = np.zeros_like(a2)
-        out2, _ = stage1(a2, a3, h, ctx((1, 0, 1, 1)))
+        out2, _ = stage1(a2, a3, h, (1, 0, 1, 1), OpticalParams())
         corr = np.mean(out2[:, 0] * np.conj(a2[:, 0]))
         assert abs(corr) < 3 / np.sqrt(n)
 
@@ -279,10 +276,6 @@ class TestParams:
                 SourceParams(r=value)
             with pytest.raises(ValueError, match="theta1"):
                 OpticalParams(theta1=value)
-
-    def test_context_bits(self):
-        with pytest.raises(ValueError):
-            Context(b=(1, 2, 0, 1))
 
 
 # Every kind of JSON scalar, plus in-range numbers so valid values occur too.

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lgwave.harness import standard_contexts
-from lgwave.optics import SIGMA, Context, OpticalParams, SourceParams, compile_network
+from lgwave.harness import CONTEXTS
+from lgwave.optics import SIGMA, OpticalParams, SourceParams, compile_network
 from lgwave.oracle import (
     amplitudes,
     predicted_pmfs,
@@ -15,15 +15,10 @@ IDEAL = OpticalParams(t1=0.5, t2=0.75, t3=0.75, theta1=0.0, theta2=0.0)
 ALL_BITS = [(b1, b2, b3, b4) for b1 in (0, 1) for b2 in (0, 1) for b3 in (0, 1) for b4 in (0, 1)]
 
 
-def ctx(b, optics=IDEAL):
-    return Context(b=b, optics=optics)
-
-
-def transfer_amplitudes(c: Context):
+def transfer_amplitudes(b, o):
     """Independent check: product of 2x2 stage matrices with blocker
     projections, acting on the source beam entering the lower port."""
-    o = c.optics
-    b1, b2, b3, b4 = c.b
+    b1, b2, b3, b4 = b
     t1, t2, t3 = o.t1, o.t2, o.t3
     r1, r2, r3 = 1 - t1, 1 - t2, 1 - t3
     s1 = np.array(
@@ -52,31 +47,26 @@ def random_optics(rng):
 
 class TestAmplitudes:
     def test_single_path_example(self):
-        alpha_plus, alpha_minus = amplitudes(ctx((1, 0, 0, 1)))
+        alpha_plus, alpha_minus = amplitudes((1, 0, 0, 1), IDEAL)
         assert alpha_plus == pytest.approx(np.sqrt(0.5 * 0.25 * 0.25), abs=1e-12)
         assert alpha_minus == pytest.approx(-np.sqrt(0.5 * 0.25 * 0.75), abs=1e-12)
 
     def test_all_blocked(self):
-        alpha_plus, alpha_minus = amplitudes(ctx((0, 0, 0, 0)))
+        alpha_plus, alpha_minus = amplitudes((0, 0, 0, 0), IDEAL)
         assert alpha_plus == 0 and alpha_minus == 0
 
     def test_open_network_unitary(self):
-        pair = amplitudes(ctx((1, 1, 1, 1)))
+        pair = amplitudes((1, 1, 1, 1), IDEAL)
         assert sum(abs(a) ** 2 for a in pair) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("bits", ALL_BITS)
     def test_matches_matrix_product(self, bits):
         rng = np.random.default_rng(sum(b << i for i, b in enumerate(bits)))
         for optics in [IDEAL, OpticalParams(theta1=np.pi), random_optics(rng)]:
-            c = ctx(bits, optics)
-            alpha_plus, alpha_minus = amplitudes(c)
-            ap, am = transfer_amplitudes(c)
+            alpha_plus, alpha_minus = amplitudes(bits, optics)
+            ap, am = transfer_amplitudes(bits, optics)
             assert alpha_plus == pytest.approx(ap, abs=1e-12)
             assert alpha_minus == pytest.approx(am, abs=1e-12)
-
-
-def all_contexts(optics):
-    return [ctx(bits, optics) for bits in ALL_BITS]
 
 
 # The vacuum inputs, by their 4-row block in sample_hidden's packed layout,
@@ -106,10 +96,11 @@ class TestCompiledNetwork:
             r = rng.uniform(0, 1.5)
             scale = SIGMA * np.cosh(r)
             # the nine standard contexts, then all 16 blocker patterns
-            for contexts in (standard_contexts(optics), all_contexts(optics)):
-                row = compile_network(SourceParams(r=r), contexts)[z2_h_re].reshape(-1, 4)
-                for j, c in enumerate(contexts):
-                    alpha_plus, alpha_minus = amplitudes(c)
+            for contexts in (CONTEXTS, ALL_BITS):
+                m = compile_network(SourceParams(r=r), optics, contexts)
+                row = m[z2_h_re].reshape(-1, 4)
+                for j, b in enumerate(contexts):
+                    alpha_plus, alpha_minus = amplitudes(b, optics)
                     for det, alpha in ((1 + 2 * j, alpha_plus), (2 + 2 * j, alpha_minus)):
                         h_re, h_im, v_re, v_im = row[det]
                         assert abs(complex(h_re, h_im) / scale - alpha) < 1e-12
@@ -121,7 +112,7 @@ class TestCompiledNetwork:
         # transmittance strictly between 0 and 1, so no path is cut.
         rng = np.random.default_rng(8)
         for _ in range(100):
-            m = compile_network(SourceParams(r=0.3), all_contexts(random_optics(rng)))
+            m = compile_network(SourceParams(r=0.3), random_optics(rng), ALL_BITS)
             for j, bits in enumerate(ALL_BITS):
                 exits = m[:, 4 + 8 * j : 12 + 8 * j]
                 for vector, rule in VACUUM_RULES.items():
@@ -177,7 +168,7 @@ class TestPredictedStats:
 
     def test_w_value(self):
         # W = P13(-,+) - P23(-,+) - P12(-,+) = 0.375 - |alpha+|^2(1,1,0,1) - 0.125
-        p23_mp = abs(amplitudes(ctx((1, 1, 0, 1)))[0]) ** 2
+        p23_mp = abs(amplitudes((1, 1, 0, 1), IDEAL)[0]) ** 2
         s = predicted_stats(IDEAL)
         assert s["W"] == pytest.approx(0.375 - p23_mp - 0.125, abs=1e-12)
         assert s["W"] == pytest.approx(0.0167468, abs=1e-6)
@@ -192,5 +183,5 @@ class TestPredictedStats:
 
     def test_degenerate_t1_one(self):
         # R1 = 0 removes every term carrying b2
-        alpha_plus, alpha_minus = amplitudes(ctx((0, 1, 1, 1), OpticalParams(t1=1.0)))
+        alpha_plus, alpha_minus = amplitudes((0, 1, 1, 1), OpticalParams(t1=1.0))
         assert alpha_plus == 0 and alpha_minus == 0
