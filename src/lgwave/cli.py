@@ -1,9 +1,10 @@
 """Command-line driver: full runs, parameter sweeps, oracle reports.
 
 Every setting is one RunConfig field, given as a flag or as a key of a
-single flat JSON config file; a flag overrides the matching key.  Outputs
-are batch artifacts: a JSON summary plus a CSV of raw counts for `run`, a
-plotter-ready CSV for `sweep`.
+single flat JSON config file; a flag overrides the matching key.  Every
+value the command uses, from either source, is checked once, by the
+parameter dataclass it is passed to.  Outputs are batch artifacts: a JSON
+summary plus a CSV of raw counts for `run`, a plotter-ready CSV for `sweep`.
 """
 
 from __future__ import annotations
@@ -47,19 +48,13 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-# Per RunConfig annotation: the parser of a flag's text, and the JSON types a
-# config value may have (booleans never count as numbers).
-_TYPES = {
-    "float": (float, (int, float)),
-    "int": (int, int),
-    "str": (str, str),
-    "list[float]": (_float_list, list),
-}
+# Per RunConfig annotation: the parser of a flag's text.
+_PARSERS = {"float": float, "int": int, "str": str, "list[float]": _float_list}
 
 
-def _setting(default, help: str, choices: list[str] | None = None):
-    """A RunConfig field: its default, and the help text and choices of its flag."""
-    metadata = {"help": help, "choices": choices}
+def _setting(default, help: str):
+    """A RunConfig field: its default, and the help text of its flag."""
+    metadata = {"help": help}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -69,7 +64,7 @@ def _setting(default, help: str, choices: list[str] | None = None):
 class RunConfig:
     """Every setting, declared once.  Each field is a config key and a flag
     (--name, dashes for underscores; on the commands _command_settings
-    names) typed by its annotation (_TYPES); optics() and plan() pass it to
+    names) parsed by its annotation (_PARSERS); optics() and plan() pass it to
     the parameter dataclass field of its name, whose default it mirrors."""
 
     r: float = _setting(0.3, "squeezing strength")
@@ -82,7 +77,7 @@ class RunConfig:
     samples: int = _setting(ExperimentPlan.samples, "realizations per context")
     reps: int = _setting(ExperimentPlan.reps, "experiment repetitions")
     seed: int = _setting(ExperimentPlan.seed, "seed of every random stream")
-    mode: str = _setting(ExperimentPlan.mode, "draw mode", [MODE_INDEPENDENT, MODE_SHARED])
+    mode: str = _setting(ExperimentPlan.mode, f"draw mode: {MODE_INDEPENDENT} or {MODE_SHARED}")
     out: str = _setting(".", "output directory")
     sweep_r: list[float] = _setting(
         [round(0.1 * i, 1) for i in range(11)], "comma-separated r values"
@@ -120,19 +115,15 @@ def sweep_plans(cfg: RunConfig) -> list[ExperimentPlan]:
     ]
 
 
-def _json_type_ok(value, annotation: str) -> bool:
-    """Whether a config-file value has the JSON type of annotation `annotation`."""
-    if annotation == "list[float]":
-        return isinstance(value, list) and all(_json_type_ok(v, "float") for v in value)
-    return isinstance(value, _TYPES[annotation][1]) and not isinstance(value, bool)
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config file and the flags, then build what the command
     will run, every plan or the oracle's optics: the dataclasses are the
-    validation, and any value they reject raises InvalidConfig.  Config
-    keys fill in the flags that were not given, so `args` holds the merged
-    choice afterwards."""
+    validation, and any value they reject raises InvalidConfig.  Only what
+    no dataclass owns is checked here: a null key, `out` and the sweep
+    grids.  Config keys fill in the flags that were not given, so `args`
+    holds the merged choice afterwards; a key a flag overrides is unused
+    and unchecked.  Float settings are then stored as floats, so a config
+    file's 1 writes what the flag's 1.0 does."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         try:
@@ -147,24 +138,23 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidConfig(
                 f"config file must hold a JSON object, not {type(doc).__name__}"
             )
-        types = {f.name: f.type for f in _command_settings(args.command)}
-        unknown = set(doc) - set(types)
+        unknown = set(doc) - {f.name for f in _command_settings(args.command)}
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
-            if not _json_type_ok(value, types[key]):
-                raise InvalidConfig(f"{key} must be {types[key]}, got {value!r}")
             if getattr(args, key, None) is None:
+                if value is None:
+                    raise InvalidConfig(f"{key} must not be null")
                 setattr(args, key, value)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
-    if "\0" in cfg.out:
-        raise InvalidConfig(f"out must not contain a NUL byte, got {cfg.out!r}")
+    if not isinstance(cfg.out, str) or "\0" in cfg.out:
+        raise InvalidConfig(f"out must be a string without NUL bytes, got {cfg.out!r}")
     sweep = args.command == "sweep"
-    if sweep and not (cfg.sweep_r and cfg.sweep_gamma):
-        raise InvalidConfig("sweep grids must be nonempty")
+    if sweep and not all(isinstance(g, list) and g for g in (cfg.sweep_r, cfg.sweep_gamma)):
+        raise InvalidConfig("sweep grids must be nonempty lists")
     try:
         if args.command == "oracle":
             cfg.optics()
@@ -175,6 +165,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             sweep_plans(cfg)
     except ValueError as e:
         raise InvalidConfig(str(e)) from e
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if f.type == "float":
+            setattr(cfg, f.name, float(value))
+        elif f.type == "list[float]":
+            setattr(cfg, f.name, [float(v) for v in value])
     return cfg
 
 
@@ -292,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat JSON config file")
         for f in _command_settings(name):
             flag = "--" + f.name.replace("_", "-")
-            p.add_argument(flag, type=_TYPES[f.type][0], **f.metadata)
+            p.add_argument(flag, type=_PARSERS[f.type], **f.metadata)
         p.set_defaults(func=func)
 
     p_ctx = sub.add_parser("contexts", help="list the nine blocker configurations")

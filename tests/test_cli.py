@@ -227,6 +227,15 @@ class TestSweep:
             assert run_cli([*grid, *bad, "--out", str(tmp_path / "bad")]) == 2
             assert "invalid-config" in capsys.readouterr().err
 
+    def test_integral_config_grid_writes_the_flag_bytes(self, tmp_path):
+        # [0.5, 1] from a config file writes r = 1.0, as --sweep-r 0.5,1.0 does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep_r": [0.5, 1], "sweep_gamma": [1.2, 1.5],
+                                   "samples": 4096, "reps": 2, "seed": 7}))
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        golden = (DATA / "golden_sweep_independent.csv").read_bytes()
+        assert (tmp_path / "sweep.csv").read_bytes() == golden
+
     def test_empty_grid_rejected(self, capsys):
         assert run_cli(["sweep", "--sweep-r", ""]) == 2
         assert "invalid-config" in capsys.readouterr().err
@@ -251,6 +260,7 @@ SETTING_VALUES = {
 # The settings whose parameter dataclass gives them no default.
 UNMIRRORED = {"r", "sweep_r", "sweep_gamma", "out"}
 SETTINGS = [pytest.param(f, id=f.name) for f in fields(RunConfig)]
+FLOAT_SETTINGS = [pytest.param(f, id=f.name) for f in fields(RunConfig) if "float" in f.type]
 COMMANDS = ("run", "sweep", "oracle", "contexts")
 
 
@@ -290,6 +300,18 @@ class TestSettingsTable:
         from_key = load_config(build_parser().parse_args([command, "--config", str(path)]))
         assert from_flag == from_key
         assert getattr(from_key, f.name) == value != getattr(RunConfig(), f.name)
+
+    @pytest.mark.parametrize("f", FLOAT_SETTINGS)
+    def test_integral_float_stored_as_float(self, f, tmp_path):
+        # a config file's 1 is stored as the flag's 1.0, so both write 1.0
+        value = [1] if f.type == "list[float]" else 1
+        command = commands_of(f)[0]
+        from_flag = load_config(build_parser().parse_args([command, flag(f), "1"]))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({f.name: value}))
+        from_key = load_config(build_parser().parse_args([command, "--config", str(path)]))
+        assert repr(getattr(from_key, f.name)) == repr(getattr(from_flag, f.name))
+        assert getattr(from_key, f.name) == value
 
     @pytest.mark.parametrize("f", SETTINGS)
     def test_flag_on_its_commands_only(self, f):
@@ -360,6 +382,19 @@ SMALL = ["--samples", "64", "--reps", "1"]
         pytest.param(["oracle", "--config", "a\x00b"], None, None, id="config-path-nul"),
         pytest.param(["oracle"], '{"sweep_r": [0.5], "sweep_gamma": []}', None,
                      id="config-sweep-keys-on-oracle"),
+        pytest.param(["run", "--mode", "foo", *SMALL], None, None, id="mode-unknown"),
+        pytest.param(["run", *SMALL], '{"r": true}', None, id="config-r-bool"),
+        pytest.param(["run", *SMALL], '{"seed": false}', None, id="config-seed-bool"),
+        pytest.param(["run", *SMALL], '{"gamma": "2"}', None, id="config-gamma-string"),
+        pytest.param(["run", "--samples", "64"], '{"reps": 2.0}', None,
+                     id="config-reps-float"),
+        pytest.param(["run", *SMALL], '{"t1": null}', None, id="config-t1-null"),
+        pytest.param(["run", *SMALL], '{"mode": 5}', None, id="config-mode-number"),
+        pytest.param(["sweep", *SMALL], '{"sweep_r": 0.5}', None, id="config-sweep-r-number"),
+        pytest.param(["sweep", *SMALL], '{"sweep_gamma": ["1.5"]}', None,
+                     id="config-sweep-gamma-string-entry"),
+        pytest.param(["sweep", *SMALL], '{"sweep_r": [0.5, null]}', None,
+                     id="config-sweep-r-null-entry"),
         pytest.param(["run", *SMALL], None, "abc", id="workers-not-integer"),
         pytest.param(["run", *SMALL], None, "0", id="workers-zero"),
         pytest.param(["run", *SMALL], None, "-3", id="workers-negative"),
@@ -377,6 +412,25 @@ def test_invalid_input_exits_2(argv, config, workers, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert "invalid-config" in err
     assert "Traceback" not in err
+
+
+def test_config_out_must_be_a_string(tmp_path, capsys, monkeypatch):
+    # test_invalid_input_exits_2 always passes --out, which overrides the key
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"out": 5}')
+    assert run_cli(["oracle", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid-config" in err
+    assert "Traceback" not in err
+
+
+def test_key_a_flag_overrides_is_not_checked(tmp_path):
+    # only the values a command uses are checked
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"r": "0.3"}')
+    argv = ["run", *TINY, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert run_cli([*argv, "--r", "0.3"]) == 0
+    assert run_cli(argv) == 2
 
 
 def test_oracle_runs_no_pool_so_reads_no_worker_count(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -407,6 +408,18 @@ class TestBlasFacts:
         m = self.NETWORKS[r]
         for x in self.blocks(3)[1]:
             assert np.array_equal(_transfer(x[:k], m), _transfer(x, m)[:k])
+
+
+def test_numpy_normal_stream_canary():
+    # NEP 19 keeps only BitGenerator streams stable across numpy releases;
+    # the golden counts also rest on Generator.standard_normal's ziggurat.
+    rng = ExperimentPlan(source=SourceParams(r=0.3), seed=0).chunk_rng(SHARED_STREAM_KEY, 0, 0)
+    digest = hashlib.sha256(sample_hidden(rng, ROW_BLOCK).tobytes()).hexdigest()
+    assert digest == "06e8b5a6f58958bb414727db787009ba7f3cb6612fd7ef585f883089fd332d13", (
+        f"numpy {np.__version__} draws other normals from the same Philox stream: "
+        "the golden counts then differ because Generator.standard_normal changed, "
+        "not because lgwave did"
+    )
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
