@@ -15,17 +15,8 @@ Streams depend on neither r nor gamma, so one draw of a chunk serves every
 (r, gamma) point of a sweep grid.  A chunk's generator is read in
 consecutive ROW_BLOCK slices, which give the same numbers, in the same
 order, as one draw of the whole chunk.
-The detection kernel (_detections) has two paths, picked by the number of
-contexts evaluated per draw.  A single-context stream (run_context)
-evaluates every row.  The shared pass (counterfactual_chunks, nine contexts
-per draw) computes the herald on every row and evaluates the exits only on
-the rows heralded at some grid point: every count is conditioned on the
-herald, which few rows pass.  Every product is a stack of whole
-GEMM_ROWS-row products (_transfer pads the last one), so both paths decide
-each detector bit for bit alike.  That rests on two facts about the BLAS
-that tests/test_harness.py pins (TestBlasFacts): an 8-column herald product
-rounds like the full product's first four columns, and a row rounds alike
-in whichever padded stack it is multiplied.
+The detection kernel (_detections) decides every detector exactly
+(_clicks), on one of two paths picked by the number of contexts per draw.
 A context's counts are one int64 row whose columns are COUNT_COLUMNS, the
 columns of counts.csv; k contexts' counts are a (k, 5) array.  They are
 integers added chunk by chunk, so any parallel schedule that reduces them
@@ -57,12 +48,7 @@ CHUNK = 1 << 16
 # The detection kernel draws and evaluates a chunk in blocks of ROW_BLOCK
 # realizations, read in order from the chunk's one generator.  That keeps the
 # draws and the temporaries in cache, and no chunk of normals is ever held.
-# It multiplies only stacks of whole GEMM_ROWS-row matrices (_transfer),
-# whose rounding the golden counts pin (tests/test_harness.py,
-# TestBlasFacts).  The package pins OpenBLAS to one thread on import
-# (lgwave/__init__.py), so no BLAS thread starts beside the worker pool's.
 ROW_BLOCK = 2048
-GEMM_ROWS = 64
 
 # Shared-draw streams get their own key, above the 0..15 of context bits.
 SHARED_STREAM_KEY = 16
@@ -182,30 +168,58 @@ def _tally(n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.n
     return np.stack(np.broadcast_arrays(*columns), axis=1, dtype=np.int64)
 
 
-def _transfer(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m as a stack of GEMM_ROWS-row products.  A last partial stack is
-    padded with zero rows, so every row is multiplied inside a whole one."""
-    n = len(x)
-    if n % GEMM_ROWS:
-        x = np.concatenate((x, np.zeros((-n % GEMM_ROWS, x.shape[1]))))
-    out = np.matmul(x.reshape(-1, GEMM_ROWS, x.shape[1]), m)
-    return out.reshape(-1, m.shape[1])[:n]
-
-
 def _powers(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Power at each detector of m, one row per row of x: the four squared
     reals of each amplitude summed as (H re + H im) + (V re + V im)."""
-    amp = _transfer(x, m)
+    amp = x @ m
     parts = np.square(amp, out=amp).reshape(len(amp), m.shape[1] // 4, 4)
     power = parts[..., 0] + parts[..., 1]
     power += parts[..., 2] + parts[..., 3]
     return power
 
 
-# The herald D1 is columns 0-3 of compile_network's matrix.  Its product is
-# taken with the first HERALD_COLUMNS columns, not four: OpenBLAS rounds an
-# 8-column product like the full one's first columns, a 4-column one not.
-HERALD_COLUMNS = 8
+# A click is power > threshold on the exact power of the float row x and
+# matrix.  A detector's power is |x M_d|^2, with |x|^2 < 2744 (optics.R_MAX's
+# comment) and M_d its 28 x 4 block of compile_network.  In any summation
+# order, with or without FMA, a 28-term dot product x m_j is computed within
+# g28 |x| |m_j| (Higham, "Accuracy and Stability of Numerical Algorithms",
+# 2002, ch. 3; g_n = n u / (1 - n u), u = eps / 2), and squaring and summing
+# the four adds g3 per square.  So _powers, on any BLAS and for any product
+# shape, lies within (2 g28 + g28^2 + g3 (1 + g28)^2) |x|^2 |M_d|_F^2 =
+# 29.5 eps |x|^2 |M_d|_F^2 < BAND |M_d|_F^2, the detector's band; the slack
+# to 32 eps covers the band's own rounding and underflow (absolute errors
+# near 2^-1074, while |M_d|_F^2 = 2 E[power] >= 2).  Only a power within the
+# band of a threshold is decided again, in rational arithmetic: a filtered
+# exact predicate (Shewchuk 1997).
+BAND = 32 * np.finfo(np.float64).eps * 2744
+
+
+def _band(m: np.ndarray) -> np.ndarray:
+    """The rounding band of each detector of m, one entry per 4 columns."""
+    return BAND * np.square(m).reshape(len(m), -1, 4).sum(axis=(0, 2))
+
+
+def _exact_power(x: np.ndarray, block: np.ndarray):
+    """|x block|^2 in rational arithmetic on the floats of row x and of one
+    detector's 28 x 4 block."""
+    from fractions import Fraction  # only decisions inside the band need it
+
+    row = [Fraction(a) for a in x.tolist()]
+    return sum(sum(a * Fraction(b) for a, b in zip(row, col)) ** 2 for col in block.T.tolist())
+
+
+def _clicks(x: np.ndarray, m: np.ndarray, band: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Whether each detector of m clicks on each row of x at each threshold,
+    shape (thresholds, detectors, rows): power > threshold, decided exactly
+    where the float power lies within the detector's band of it."""
+    power = np.ascontiguousarray(_powers(x, m).T)
+    t = thresholds[:, None, None]
+    clicks = power > t
+    near = np.abs(power - t) <= band[:, None]
+    if near.any():
+        for k, d, i in zip(*np.nonzero(near)):
+            clicks[k, d, i] = _exact_power(x[i], m[:, 4 * d : 4 * d + 4]) > thresholds[k]
+    return clicks
 
 
 def _detections(
@@ -220,40 +234,26 @@ def _detections(
     contexts: the heralding beam never touches the blockers.  d2 and d3
     have shape (k, n), one row per context.
 
-    The network is compiled once per distinct source (compile_network).  The
-    chunk's generator is opened once and read one row block at a time:
-    consecutive draws partition the stream, so the block draws are the
-    whole-chunk draw's rows bit for bit, and no chunk-sized array of
-    normals is held.  Each block is evaluated on one of two paths, picked
-    by the number of contexts per draw:
+    The network is compiled once per distinct source (compile_network), and
+    the chunk's generator is read one row block at a time.  Each block takes
+    one of two paths, picked by the number of contexts per draw:
 
-    - One context (run_context): every row is multiplied by the source's
-      matrix, squared, summed per detector and thresholded at each gamma
-      paired with that source; every row is returned.
+    - One context (run_context): every row is decided and returned.
     - Several contexts (the shared pass): only a row heralded at the
-      source's lowest gamma can count, and few are.  The herald power of
-      every row comes from its product with the matrix's first
-      HERALD_COLUMNS columns; only the rows above the lowest gamma**2 are
-      multiplied by the whole matrix and thresholded.  With one context
-      selecting the rows costs more than the rows it skips.
+      source's lowest gamma can count, and few are, so only the rows whose
+      herald power (from the matrix's first four columns) reaches that
+      gamma**2 less D1's band, a superset of the exactly heralded rows, are
+      decided.  With one context selecting the rows costs more than it skips.
 
-    The two paths decide every detector alike, bit for bit, as long as the
-    BLAS rounds two products alike: the herald-tile product like the whole
-    matrix's first four columns, and a row like itself in any padded stack
-    of GEMM_ROWS rows (tests/test_harness.py::TestBlasFacts pins both).  A
-    row multiplied alone rounds differently, hence _transfer's padding.
-    evaluate_context stays the reference: it rounds differently from both,
-    so they can only disagree on a power within rounding of gamma**2."""
+    Both paths decide with _clicks, so they agree on any BLAS."""
     plan = plans[0]
-    by_source: dict[SourceParams, list[tuple[int, float]]] = {}
-    for i, p in enumerate(plans):
-        by_source.setdefault(p.source, []).append((i, p.gamma * p.gamma))
     networks = []
-    for src, points in by_source.items():
+    for src in dict.fromkeys(p.source for p in plans):
+        points = [i for i, p in enumerate(plans) if p.source == src]
         m = compile_network(src, plan.optics, contexts)
-        lowest = min(threshold for _, threshold in points)
-        networks.append((m, np.ascontiguousarray(m[:, :HERALD_COLUMNS]), lowest, points))
-    heralded_only = len(contexts) > 1
+        band = _band(m)
+        thresholds = np.array([plans[i].gamma * plans[i].gamma for i in points])
+        networks.append((m, band, thresholds, thresholds.min() - band[0], points))
     for c in chunks:
         n = plan.chunk_size(c)
         rng = plan.chunk_rng(key, rep_index, c)
@@ -261,11 +261,10 @@ def _detections(
         filled = [0] * len(plans)
         for lo in range(0, n, ROW_BLOCK):
             x = sample_hidden(rng, min(ROW_BLOCK, n - lo))
-            for m, m_herald, lowest, points in networks:
-                y = x[_powers(x, m_herald)[:, 0] > lowest] if heralded_only else x
-                power = _powers(y, m).T
-                for i, threshold in points:
-                    np.greater(power, threshold, out=det[i, :, filled[i] : filled[i] + len(y)])
+            for m, band, thresholds, cut, points in networks:
+                y = x[_powers(x, m[:, :4])[:, 0] >= cut] if len(contexts) > 1 else x
+                for i, clicks in zip(points, _clicks(y, m, band, thresholds)):
+                    det[i, :, filled[i] : filled[i] + len(y)] = clicks
                     filled[i] += len(y)
         yield [(n, d[0, :f], d[1::2, :f], d[2::2, :f]) for d, f in zip(det, filled)]
 

@@ -2,10 +2,14 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -163,7 +167,7 @@ class TestRun:
         # frozen tiny runs and sweeps, one per draw mode, and the oracle at
         # two optics: (argv, output, golden file)
         run = ["run", "--samples", "1024", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
-        # 4161 = 2 * 2048 + 64 + 1: the last row block ends in a partial stack
+        # 4161 = 2 * 2048 + 65: the last row block is partial
         partial = ["run", "--samples", "4161", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
         sweep = ["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
                  "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"]
@@ -188,6 +192,37 @@ class TestRun:
             out = Path(golden).stem
             assert run_cli([*argv, "--out", out]) == 0
             assert (tmp_path / out / output).read_bytes() == (DATA / golden).read_bytes(), golden
+
+
+def numpy_blas():
+    """The name of the BLAS numpy was built with, or "" if numpy does not say."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in numpy_blas(), reason="numpy's BLAS is not OpenBLAS")
+def test_golden_counts_under_another_gemm_kernel(tmp_path):
+    # a dynamic-arch OpenBLAS picks its GEMM kernel from OPENBLAS_CORETYPE,
+    # and Prescott's rounds products otherwise than the host's; two threads
+    # split the products too.  Counts are decided exactly, so the golden
+    # files still hold.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cases = [
+        (["run", "--samples", "1024", "--reps", "2", "--seed", "7", "--gamma", "1.2",
+          "--mode", "shared-draws"], "counts.csv", "golden_counts_shared.csv"),
+        (["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
+          "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"], "sweep.csv",
+         "golden_sweep_independent.csv"),
+    ]
+    for argv, output, golden in cases:
+        out = tmp_path / Path(golden).stem
+        subprocess.run([sys.executable, "-m", "lgwave.cli", *argv, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        assert (out / output).read_bytes() == (DATA / golden).read_bytes(), golden
 
 
 class TestSweep:

@@ -4,17 +4,18 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lgwave import harness
 from lgwave.harness import (
     CHUNK,
     CONTEXTS,
     COUNT_COLUMNS,
     GROUPS,
-    HERALD_COLUMNS,
     MODE_INDEPENDENT,
     MODE_SHARED,
     N_HERALD,
@@ -24,8 +25,10 @@ from lgwave.harness import (
     SHARED_STREAM_KEY,
     STANDARD_CONTEXT_TABLE,
     ExperimentPlan,
+    _band,
+    _clicks,
+    _powers,
     _tally,
-    _transfer,
     counterfactual_chunks,
     evaluate_context,
     run_context,
@@ -35,6 +38,7 @@ from lgwave.experiment import _shared_chunk_task
 from lgwave.optics import (
     NORMALS_PER_REALIZATION,
     R_MAX,
+    SIGMA,
     OpticalParams,
     SourceParams,
     compile_network,
@@ -234,8 +238,8 @@ class TestCounterfactual:
 
 def random_plan(i):
     """Draw i of the kernel's differential test: random optics, r, gamma,
-    mode and seed, with sizes that are not multiples of the kernel's
-    64-row products or row blocks, and one that spans a partial chunk."""
+    mode and seed, with sizes that are not multiples of the kernel's row
+    blocks, and one that spans a partial chunk."""
     g = np.random.default_rng(1000 + i)
     optics = OpticalParams(
         t1=g.uniform(), t2=g.uniform(), t3=g.uniform(),
@@ -267,10 +271,10 @@ def random_grid(i):
 
 
 # The shared pass's differential cases: random_plan's 20 draws alone, then
-# gamma = 0 (every row heralded) and 1e6 (none), sizes whose final block
-# leaves one row after its GEMM_ROWS-row products, and three of random_grid's
-# grids, where a source's lowest gamma gathers rows its other points do not
-# herald.
+# gamma = 0 (every row heralded) and 1e6 (none), sizes whose final row
+# block is a lone row (4097) or a 65-row partial chunk (CHUNK + 65), and
+# three of random_grid's grids, where a source's lowest gamma gathers rows
+# its other points do not herald.
 SHARED_PASS_CASES = {
     **{str(i): [random_plan(i)] for i in range(20)},
     "gamma-0": [replace(random_plan(20), gamma=0.0)],
@@ -282,8 +286,10 @@ SHARED_PASS_CASES = {
 
 
 class TestKernelMatchesReference:
-    """The compiled kernel behind run_context and counterfactual_chunks
-    decides every detector exactly as evaluate_context does on the same draw."""
+    """The kernel behind run_context and counterfactual_chunks decides every
+    detector exactly; evaluate_context is the float reference.  The two can
+    differ only on a decision whose float power lies within the detector's
+    band of gamma**2, and no draw here has one."""
 
     @pytest.mark.parametrize("case", list(SHARED_PASS_CASES))
     def test_counterfactual_detections(self, case):
@@ -370,44 +376,87 @@ class TestLargestSqueezing:
             assert len(d1) == n and d1.all() and d2.all() and d3.all()
 
 
-class TestBlasFacts:
-    """The two products whose rounding the shared pass relies on to decide
-    every detector as the all-rows product does (harness._detections): the
-    herald tile, and a row in whichever zero-padded GEMM_ROWS-row stack
-    _transfer multiplies it.  If a BLAS upgrade breaks one, this names the
-    cause before the golden files fail."""
+def exact_power(x, block):
+    """|x block|^2 of a float row and a detector's 28 x 4 block, in Fraction
+    arithmetic."""
+    return sum(sum(Fraction(a) * Fraction(b) for a, b in zip(x, col)) ** 2
+               for col in np.asarray(block).T.tolist())
 
-    NETWORKS = {r: compile_network(SourceParams(r=r), OpticalParams(), CONTEXTS)
-                for r in (0.0, 0.3, 0.9)}
 
-    def blocks(self, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
-        return rng, [sample_hidden(rng, ROW_BLOCK) for _ in range(4)]
+class TestExactDecisions:
+    """A click is power > gamma**2 decided on the exact power of the float
+    draw and matrix: a float power within the detector's band of the
+    threshold is decided again in rational arithmetic."""
 
-    @pytest.mark.parametrize("r", NETWORKS)
-    def test_herald_tile_rounds_like_full_product(self, r):
-        m = self.NETWORKS[r]
-        tile = np.ascontiguousarray(m[:, :HERALD_COLUMNS])
-        for x in self.blocks(1)[1]:
-            assert np.array_equal(_transfer(x, tile)[:, :4], _transfer(x, m)[:, :4])
+    def test_amplitude_rounded_onto_the_threshold_clicks(self):
+        # 1 + 2^-53 rounds to 1, so the float power is 1.0 and would not
+        # click at 1.0; the exact power (1 + 2^-53)^2 is above it
+        x = np.zeros((1, NORMALS_PER_REALIZATION))
+        x[0, :2] = 1.0, 2.0**-53
+        m = np.zeros((NORMALS_PER_REALIZATION, 4))
+        m[:2, 0] = 1.0
+        assert _powers(x, m).tolist() == [[1.0]]
+        assert exact_power(x[0], m) > 1
+        assert _clicks(x, m, _band(m), np.array([1.0])).tolist() == [[[True]]]
 
-    @pytest.mark.parametrize("r", NETWORKS)
-    @pytest.mark.parametrize("k", [1, 2, 5, 63, 64, 65, 130])
-    def test_padded_gather_rounds_like_full_product(self, r, k):
-        m = self.NETWORKS[r]
-        rng, blocks = self.blocks(2)
-        for x in blocks:
-            rows = np.sort(rng.choice(ROW_BLOCK, k, replace=False))
-            assert np.array_equal(_transfer(x[rows], m), _transfer(x, m)[rows])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    def test_thresholds_on_and_beside_the_float_power(self, r):
+        # each row at thresholds equal to one detector's float power and to
+        # its neighbouring floats: every detector decided as Fraction does
+        optics = OpticalParams(t1=0.3, theta1=0.7, theta2=-1.1)
+        m = compile_network(SourceParams(r=r), optics, CONTEXTS)
+        x = sample_hidden(np.random.Generator(np.random.Philox(5)), 4)
+        power = _powers(x, m)
+        for i, d in enumerate((0, 3, 10, 18)):
+            p = power[i, d]
+            thresholds = np.array([np.nextafter(p, 0), p, np.nextafter(p, np.inf)])
+            clicks = _clicks(x[i : i + 1], m, _band(m), thresholds)[..., 0]
+            exact = [exact_power(x[i], m[:, 4 * e : 4 * e + 4]) for e in range(len(power[i]))]
+            assert clicks.tolist() == [[e > t for e in exact] for t in thresholds]
 
-    @pytest.mark.parametrize("r", NETWORKS)
-    @pytest.mark.parametrize("k", [1, 2, 37, 63, 65])
-    def test_padded_prefix_rounds_like_full_product(self, r, k):
-        # a block's last partial stack, a lone row included, rounds as it
-        # would inside a whole one
-        m = self.NETWORKS[r]
-        for x in self.blocks(3)[1]:
-            assert np.array_equal(_transfer(x[:k], m), _transfer(x, m)[:k])
+    def test_herald_rounded_onto_gamma_squared_counts_on_both_paths(self, monkeypatch):
+        # at r = 0 the unit row e0 gives D1 the amplitude SIGMA, whose float
+        # square is gamma**2 for gamma = SIGMA; the exact SIGMA^2 lies above
+        x = np.eye(1, NORMALS_PER_REALIZATION)
+        p = plan(samples=1, r=0.0, gamma=SIGMA)
+        assert compile_network(p.source, p.optics, CONTEXTS)[0, 0] == SIGMA
+        assert Fraction(SIGMA) ** 2 > SIGMA * SIGMA
+        monkeypatch.setattr(harness, "sample_hidden", lambda rng, n: x.copy())
+        assert run_context([p], OPEN, 0).tolist() == [[1, 1, 0, 0, 0]]
+        ((n, d1, d2, d3),) = next(counterfactual_chunks([replace(p, mode=MODE_SHARED)], 0, range(1)))
+        assert (n, d1.tolist()) == (1, [True])
+
+    BAND_CASES = {
+        "default": (0.3, OpticalParams()),
+        "t-0-1-0": (0.6, OpticalParams(t1=0.0, t2=1.0, t3=0.0, theta1=2.0)),
+        "t-1-0-1": (0.0, OpticalParams(t1=1.0, t2=0.0, t3=1.0, theta2=4.0)),
+        "random": (1.1, OpticalParams(t1=0.21, t2=0.64, t3=0.93, theta1=5.1, theta2=0.4)),
+        "r-30": (30.0, OpticalParams(t1=0.7, theta1=1.3)),
+        "r-max": (R_MAX, OpticalParams(t2=0.4, theta2=3.0)),
+    }
+
+    @pytest.mark.parametrize("case", list(BAND_CASES))
+    def test_band_bounds_the_rounding(self, case):
+        # |float - exact| power <= band for the whole-block product, the
+        # 4-column herald product and a one-row product, on drawn rows and on
+        # rows whose 28 reals all sit near the ziggurat's |u| < 14
+        r, optics = self.BAND_CASES[case]
+        m = compile_network(SourceParams(r=r), optics, CONTEXTS)
+        band = _band(m)
+        assert np.isfinite(band).all()
+        g = np.random.default_rng(7)
+        signs = [np.sign(m[:, j]) + (m[:, j] == 0) for j in (0, 5, 30, m.shape[1] - 1)]
+        signs.append(g.choice([-1.0, 1.0], NORMALS_PER_REALIZATION))
+        x = np.concatenate([sample_hidden(np.random.Generator(np.random.Philox(9)), 6),
+                            13.99 * SIGMA * np.array(signs)])
+        for cols in (m, m[:, :4]):
+            whole = _powers(x, cols)
+            for i, row in enumerate(x):
+                one = _powers(x[i : i + 1], cols)[0]
+                for d in range(cols.shape[1] // 4):
+                    exact = exact_power(row, m[:, 4 * d : 4 * d + 4])
+                    assert abs(Fraction(whole[i, d]) - exact) <= band[d]
+                    assert abs(Fraction(one[d]) - exact) <= band[d]
 
 
 def test_numpy_normal_stream_canary():
