@@ -7,7 +7,6 @@ identically on a single realization (shape (2,)) or a batch (shape (n, 2)).
 The source is a two-mode squeezed pair built from standard complex Gaussian
 noise vectors; the interferometer is the fixed three-beam-splitter topology
 with optional beam blockers that replace a blocked arm by fresh vacuum noise.
-Detection is a strict threshold crossing on the Jones-vector power.
 """
 
 from __future__ import annotations
@@ -191,15 +190,3 @@ def compile_network(
     for b in contexts:
         outputs += propagate(a2, a3, h, b, optics)
     return np.stack(outputs, axis=1).view(np.float64).reshape(NORMALS_PER_REALIZATION, -1)
-
-
-def power(a: np.ndarray) -> np.ndarray:
-    """Power |h|^2 + |v|^2 of a Jones vector (batched)."""
-    return (a.real**2 + a.imag**2).sum(axis=-1)
-
-
-def detect(a: np.ndarray, gamma: float) -> np.ndarray:
-    """Threshold detector: click iff power(a) > gamma**2 (strict)."""
-    if gamma < 0:
-        raise ValueError(f"detection threshold must be >= 0, got {gamma}")
-    return power(a) > gamma * gamma

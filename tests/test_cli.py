@@ -498,14 +498,22 @@ CONFIG_DOCS = (
 @settings(max_examples=200, deadline=None, database=None)
 @given(doc=CONFIG_DOCS)
 @example(doc={"out": "o\x00x"})
+@example(doc={"out": "W"})
 def test_any_config_document_exits_0_or_2(doc):
+    # a relative "out" writes oracle.json under the working directory, so the
+    # call runs inside the temporary directory (contextlib.chdir needs 3.11)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-            io.StringIO()
-        ):
-            assert main(["oracle", "--config", str(path)]) in (0, 2)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                assert main(["oracle", "--config", str(path)]) in (0, 2)
+        finally:
+            os.chdir(cwd)
 
 
 @settings(max_examples=200, deadline=None, database=None)

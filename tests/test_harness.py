@@ -131,6 +131,31 @@ class TestEvaluateContext:
                 assert [d.shape for d in single] == [()] * 3
                 assert [bool(d) for d in single] == [bool(d[i]) for d in batch]
 
+    # At r = 0 the unit row e0 gives D1 the amplitude SIGMA, whose float
+    # power is SIGMA * SIGMA; the reference clicks iff that exceeds gamma**2.
+    E0 = np.eye(1, NORMALS_PER_REALIZATION)[0]
+
+    def herald(self, gamma):
+        return evaluate_context(self.E0, SourceParams(r=0.0), OPEN, DEFAULT_OPTICS, gamma)[0]
+
+    def test_above_threshold(self):
+        assert self.herald(np.nextafter(SIGMA, 0))
+
+    def test_strict_at_threshold(self):
+        assert not self.herald(SIGMA)
+
+    def test_below_threshold(self):
+        assert not self.herald(np.nextafter(SIGMA, 1))
+
+    def test_strict_at_zero(self):
+        h = np.zeros(NORMALS_PER_REALIZATION)
+        assert not any(evaluate_context(h, SourceParams(r=0.3), OPEN, DEFAULT_OPTICS, 0.0))
+
+    def test_batched(self):
+        h = sample_hidden(np.random.Generator(np.random.Philox(14)), 5)
+        d = evaluate_context(h, SourceParams(r=0.3), OPEN, DEFAULT_OPTICS, 1.0)
+        assert [e.shape for e in d] == [(5,)] * 3
+
     def test_d1_independent_of_context(self):
         rng = np.random.Generator(np.random.Philox(12))
         h = sample_hidden(rng, 1000)
@@ -421,6 +446,9 @@ class TestExactDecisions:
         p = plan(samples=1, r=0.0, gamma=SIGMA)
         assert compile_network(p.source, p.optics, CONTEXTS)[0, 0] == SIGMA
         assert Fraction(SIGMA) ** 2 > SIGMA * SIGMA
+        # the float reference misses this click: a power inside D1's band is
+        # the one place it may differ from the kernel
+        assert not evaluate_context(x, p.source, OPEN, p.optics, p.gamma)[0][0]
         monkeypatch.setattr(harness, "sample_hidden", lambda rng, n: x.copy())
         assert run_context([p], OPEN, 0).tolist() == [[1, 1, 0, 0, 0]]
         ((n, d1, d2, d3),) = next(counterfactual_chunks([replace(p, mode=MODE_SHARED)], 0, range(1)))
