@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -119,8 +120,8 @@ def _shared_chunk_task(plans: list[ExperimentPlan], rep: int, chunk: int) -> lis
 
 def _reduce(plans: list[ExperimentPlan], efficiency: bool) -> list:
     """Run the driver's tasks on the thread pool and reduce their results by
-    position: [grid point] -> (its (reps, 9, 5) counts, its shared-pass
-    accumulator per rep, empty if no shared pass ran).
+    position: [grid point] -> (its (reps, 9, 5) counts, one shared-pass
+    accumulator per rep: all zero if no shared pass ran; run_kw_only drops them).
 
     The task list is one run_context per (rep, context) on independent
     draws, then one _shared_chunk_task per (rep, chunk) on shared draws or
@@ -130,28 +131,22 @@ def _reduce(plans: list[ExperimentPlan], efficiency: bool) -> list:
     shared = plan.mode == MODE_SHARED
     reps = range(plan.reps)
     contexts = () if shared else CONTEXTS
-    chunks = range(plan.n_chunks())
-    tasks = [(run_context, plans, b, rep) for rep in reps for b in contexts]
-    n_context_tasks = len(tasks)
-    if shared or efficiency:
-        tasks += [(_shared_chunk_task, plans, rep, c) for rep in reps for c in chunks]
+    chunks = range(plan.n_chunks()) if shared or efficiency else ()
+    tasks = [partial(run_context, plans, b, rep) for rep in reps for b in contexts]
+    tasks += [partial(_shared_chunk_task, plans, rep, c) for rep in reps for c in chunks]
     with ThreadPoolExecutor(max_workers=default_workers()) as pool:
-        futs = [pool.submit(*task) for task in tasks]
-        try:
-            results = [fut.result() for fut in futs]
-        except BaseException:
-            # a failed task or Ctrl-C: wait only for the tasks already running
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+        # when a result raises (a failed task or Ctrl-C), map cancels the queued tasks
+        results = list(pool.map(lambda task: task(), tasks))
 
+    rows = results[: plan.reps * len(contexts)]
     accs = [[EfficiencyAccumulator() for _ in reps] for _ in plans]
-    for (_, _, rep, _), chunk_accs in zip(tasks[n_context_tasks:], results[n_context_tasks:]):
+    for j, chunk_accs in enumerate(results[len(rows):]):
         for point_accs, acc in zip(accs, chunk_accs):
-            point_accs[rep].merge(acc)
+            point_accs[j // len(chunks)].merge(acc)
     if shared:
         counts = [np.stack([acc.counts for acc in point_accs]) for point_accs in accs]
     else:
-        rows = np.array(results[:n_context_tasks])
+        rows = np.array(rows)
         counts = rows.reshape(plan.reps, -1, len(plans), len(COUNT_COLUMNS)).transpose(2, 0, 1, 3)
     return list(zip(counts, accs))
 

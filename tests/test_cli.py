@@ -157,6 +157,26 @@ class TestRun:
         assert run_cli(["run", *TINY, "--out", str(tmp_path / "out")]) == 130
         assert capsys.readouterr().err.splitlines() == ["lgwave: interrupted"]
 
+    def test_interrupt_inside_a_pool_task_exits_130(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C in the first task drops the queued ones (the one worker may
+        # have started the next one), and main reports it as an interrupt
+        calls = []
+
+        def interrupted(*args):
+            calls.append(args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "run_context", interrupted)
+        monkeypatch.setenv("LGWAVE_WORKERS", "1")
+        argv = ["run", "--samples", "1024", "--reps", "3", "--out", str(tmp_path / "out")]
+        try:
+            status = run_cli(argv)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert status == 130
+        assert capsys.readouterr().err.splitlines() == ["lgwave: interrupted"]
+        assert len(calls) <= 2
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sample": 4096}))
@@ -499,10 +519,14 @@ CONFIG_DOCS = (
 @given(doc=CONFIG_DOCS)
 @example(doc={"out": "o\x00x"})
 @example(doc={"out": "W"})
+@example(doc={"out": "/"})
 def test_any_config_document_exits_0_or_2(doc):
     # a relative "out" writes oracle.json under the working directory, so the
-    # call runs inside the temporary directory (contextlib.chdir needs 3.11)
+    # call runs inside the temporary directory (contextlib.chdir needs 3.11);
+    # an absolute one is moved under it, still absolute
     with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(doc, dict) and isinstance(doc.get("out"), str) and os.path.isabs(doc["out"]):
+            doc = {**doc, "out": os.path.join(tmp, doc["out"].lstrip(os.sep))}
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(doc))
         cwd = os.getcwd()
