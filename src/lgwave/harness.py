@@ -37,7 +37,7 @@ from .optics import (
     SourceParams,
     compile_network,
     propagate,
-    require_finite,
+    require_real,
     sample_hidden,
     source_output,
 )
@@ -113,9 +113,7 @@ class ExperimentPlan:
             integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             if not integral or value < minimum:
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        require_finite("gamma", self.gamma)
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        require_real("gamma", self.gamma, 0)
         if self.mode not in (MODE_INDEPENDENT, MODE_SHARED):
             raise ValueError(f"unknown mode {self.mode!r}")
 

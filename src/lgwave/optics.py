@@ -40,19 +40,16 @@ _VECTORS = ("z1", "z2", "z3", "zp1", "zp2", "zp3", "zp4")
 R_MAX = 350.0
 
 
-def require_finite(name: str, value: float) -> None:
-    """Reject bools, non-real values, NaN, infinities and ints too large
-    to become a float."""
+def require_real(name: str, value: float, low: float = -math.inf, high: float = math.inf) -> None:
+    """Reject bools, non-real values, NaN, infinities, ints too large to
+    become a float and values outside [low, high]."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        ok = (
-            isinstance(value, numbers.Real)
-            and not isinstance(value, bool)
-            and math.isfinite(float(value))
-        )
+        x = float(value) if real else math.nan
     except OverflowError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        x = math.nan
+    if not (math.isfinite(x) and low <= x <= high):
+        raise ValueError(f"{name} must be a finite real number in [{low}, {high}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,14 +59,12 @@ class SourceParams:
     r: float
 
     def __post_init__(self):
-        require_finite("r", self.r)
-        if not 0 <= self.r <= R_MAX:
-            raise ValueError(f"squeezing strength must lie in [0, {R_MAX}], got {self.r}")
+        require_real("r", self.r, 0, R_MAX)
 
 
 @dataclass(frozen=True)
 class OpticalParams:
-    """Beam-splitter transmittances and phase-delay angles.
+    """Beam-splitter transmittances 0 <= T_i <= 1 and phase-delay angles.
 
     Reflectances are implicit: R_i = 1 - T_i.
     """
@@ -82,12 +77,9 @@ class OpticalParams:
 
     def __post_init__(self):
         for name in ("t1", "t2", "t3"):
-            t = getattr(self, name)
-            require_finite(name, t)
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {t}")
-        require_finite("theta1", self.theta1)
-        require_finite("theta2", self.theta2)
+            require_real(name, getattr(self, name), 0, 1)
+        require_real("theta1", self.theta1)
+        require_real("theta2", self.theta2)
 
 
 # A measurement context is its blocker bits b = (b1, b2, b3, b4); bit bn = 0

@@ -391,6 +391,32 @@ class TestPeakMemory:
         assert peak < self.CHUNK_OF_NORMALS
 
 
+class TestRowBlockInvariance:
+    """A chunk's generator is read one ROW_BLOCK at a time, and the counts
+    and detections are those of one whole-chunk draw, whatever the block."""
+
+    GRID = [plan(samples=CHUNK + 37, r=r, gamma=gamma) for r, gamma in ((0.3, 2.0), (0.9, 1.5))]
+
+    def outputs(self):
+        """run_context's counts on GRID, and the per-chunk records of the
+        shared pass, which decides only the rows its prefilter keeps."""
+        counts = run_context(self.GRID, OPEN, 0)
+        shared = [replace(p, mode=MODE_SHARED) for p in self.GRID]
+        records = [
+            [(n, d1.tolist(), d2.tolist(), d3.tolist()) for n, d1, d2, d3 in dets]
+            for dets in counterfactual_chunks(shared, 0, range(shared[0].n_chunks()))
+        ]
+        return counts.tolist(), records
+
+    # 1000 does not divide CHUNK; CHUNK reads each chunk as one block.
+    @pytest.mark.parametrize("block", [1000, CHUNK])
+    def test_outputs_match_default_block(self, block, monkeypatch):
+        assert ROW_BLOCK not in (1000, CHUNK)
+        expected = self.outputs()
+        monkeypatch.setattr(harness, "ROW_BLOCK", block)
+        assert self.outputs() == expected
+
+
 class TestLargestSqueezing:
     def test_every_detector_fires_without_overflow(self):
         # at R_MAX every power is finite and far above gamma^2; an overflow

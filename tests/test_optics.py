@@ -132,7 +132,7 @@ class TestSourceOutput:
     def test_r_above_bound_rejected(self):
         SourceParams(r=R_MAX)
         for r in (np.nextafter(R_MAX, np.inf), 356, 1000):
-            with pytest.raises(ValueError, match="squeezing strength"):
+            with pytest.raises(ValueError, match="r must"):
                 SourceParams(r=r)
 
 

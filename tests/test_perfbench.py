@@ -2,7 +2,8 @@
 
 Each workload runs once at the quick sizes with tracing on, so a renamed or
 deleted function that the tracer patches fails here, and so does a traced
-layer that stops being reached.  No timing is checked.
+layer that stops being reached.  Each also runs once untraced, the path that
+measures BENCHMARK.json's end-to-end metrics.  No timing is checked.
 """
 
 import json
@@ -26,17 +27,31 @@ SIGNATURES = {
 }
 
 
-@pytest.mark.parametrize("workload", list(SIGNATURES))
-def test_quick_traced_run(workload):
+def quick_run(workload: str, trace: int) -> dict:
+    """The last stdout line of one quick perfbench run, after checking that
+    it exited 0 and that every invocation was correct."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--quick",
-         "--seed", "0", "--seconds", "0", "--trace", "1"],
+         "--seed", "0", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("workload", list(SIGNATURES))
+def test_quick_untraced_run(workload):
+    result = quick_run(workload, trace=0)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert list(result["metrics"]) == [m["name"] for m in declared]
+
+
+@pytest.mark.parametrize("workload", list(SIGNATURES))
+def test_quick_traced_run(workload):
+    result = quick_run(workload, trace=1)
 
     shared_pass, context_tasks, grid_points = SIGNATURES[workload]
     value = {name: m["value"] for name, m in result["metrics"].items()}
