@@ -12,7 +12,7 @@ import numpy as np
 
 from .harness import CONTEXTS, GROUPS
 from .optics import Bits, OpticalParams
-from .stats import INTERROGATING, correlation, k_statistic, marginal_12, w_statistic
+from .stats import INTERROGATING, lg_stats
 
 
 def amplitudes(b: Bits, optics: OpticalParams) -> tuple[complex, complex]:
@@ -70,12 +70,4 @@ def predicted_pmfs(optics: OpticalParams) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def predicted_stats(optics: OpticalParams) -> dict[str, float]:
     """Quantum K, W and pair correlations from the closed-form amplitudes."""
-    p13, p23, p3 = predicted_pmfs(optics)
-    p12 = marginal_12(p3)
-    return {
-        "C12": correlation(p12),
-        "C23": correlation(p23),
-        "C13": correlation(p13),
-        "K": k_statistic(p12, p23, p13),
-        "W": w_statistic(p13, p23, p12),
-    }
+    return lg_stats(*predicted_pmfs(optics))

@@ -85,16 +85,27 @@ def w_statistic(p13: np.ndarray, p23: np.ndarray, p12: np.ndarray) -> float:
     return float(p13[1, 0] - p23[1, 0] - p12[1, 0])
 
 
+def lg_stats(p13: np.ndarray, p23: np.ndarray, p3: np.ndarray) -> dict[str, float]:
+    """K, W and the pair correlations of the PMFs (P_{t1,t3}, P_{t2,t3},
+    P_{t1,t2,t3}), with P_{t1,t2} the marginal of P_{t1,t2,t3}."""
+    p12 = marginal_12(p3)
+    return {
+        "K": k_statistic(p12, p23, p13),
+        "W": w_statistic(p13, p23, p12),
+        "C12": correlation(p12),
+        "C23": correlation(p23),
+        "C13": correlation(p13),
+    }
+
+
 def marginal_lg(p3: np.ndarray) -> tuple[float, float]:
     """Marginal-form statistics (K_marginal, W_marginal).
 
     All three pair PMFs are marginals of the one joint three-time PMF, so
     K_marginal <= 1 and W_marginal <= 0 hold identically.
     """
-    m12 = marginal_12(p3)
-    m13 = marginal_13(p3)
-    m23 = marginal_23(p3)
-    return k_statistic(m12, m23, m13), w_statistic(m13, m23, m12)
+    s = lg_stats(marginal_13(p3), marginal_23(p3), p3)
+    return s["K"], s["W"]
 
 
 @dataclass
@@ -153,8 +164,11 @@ def w_decomposition(counts: np.ndarray, eff: dict) -> dict[str, float]:
 
     Each direct term is exhibited as mu[E|D1] / eta for its context group;
     the marginal terms divide by the common two-blocker efficiency instead.
-    No new estimator: the direct W here equals w_statistic on the same counts.
     `counts` are the (9, 5) shared-draw counts behind `eff`, a report() dict.
+    eta_t is the size of type t's Lambda set, a union, not its coincidence
+    total bound_t, so w_direct is not the W of these counts: with each eta_t
+    replaced by bound_t, w_direct equals their W and w_marginal their
+    W_marginal, up to rounding.
     """
     for t in INTERROGATING:
         if eff["eta_" + t] == 0:
@@ -164,17 +178,15 @@ def w_decomposition(counts: np.ndarray, eff: dict) -> dict[str, float]:
     n13, n23, n123 = (counts[GROUPS[t]][:, [N_PLUS, N_MINUS]] for t in INTERROGATING)
     n123 = n123.reshape(2, 2, 2)
     eta13, eta23, eta123 = (eff["eta_" + t] for t in INTERROGATING)
-    p13_mp = (int(n13[1, 0]) / nh) / eta13
-    p23_mp = (int(n23[1, 0]) / nh) / eta23
-    p12_mp = (int(n123[1, 0].sum()) / nh) / eta123
-    p13_mp_marg = (int(n123[1, :, 0].sum()) / nh) / eta123
-    p23_mp_marg = (int(n123[:, 1, 0].sum()) / nh) / eta123
+    # Marginalise the integer cells, then divide: dividing first can move last bits.
+    p13, p23 = n13 / nh / eta13, n23 / nh / eta23
+    p12, m13, m23 = (m(n123) / nh / eta123 for m in (marginal_12, marginal_13, marginal_23))
     return {
-        "p13_mp_direct": p13_mp,
-        "p23_mp_direct": p23_mp,
-        "p12_mp": p12_mp,
-        "w_direct": p13_mp - p23_mp - p12_mp,
-        "p13_mp_marginal": p13_mp_marg,
-        "p23_mp_marginal": p23_mp_marg,
-        "w_marginal": p13_mp_marg - p23_mp_marg - p12_mp,
+        "p13_mp_direct": float(p13[1, 0]),
+        "p23_mp_direct": float(p23[1, 0]),
+        "p12_mp": float(p12[1, 0]),
+        "w_direct": w_statistic(p13, p23, p12),
+        "p13_mp_marginal": float(m13[1, 0]),
+        "p23_mp_marginal": float(m23[1, 0]),
+        "w_marginal": w_statistic(m13, m23, p12),
     }

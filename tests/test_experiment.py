@@ -32,7 +32,7 @@ from lgwave.harness import (
 )
 from lgwave.optics import OpticalParams, SourceParams
 from lgwave.oracle import predicted_pmfs
-from lgwave.stats import pmf2_from_counts
+from lgwave.stats import INTERROGATING, pmf2_from_counts, w_decomposition
 
 
 def plan(**kwargs):
@@ -88,6 +88,18 @@ class TestRunExperiment:
         _, report = run_experiment(plan(samples=1 << 17, reps=2))
         for s in report["per_rep"]:
             assert s["w_decomposition"]["w_marginal"] <= 1e-12
+
+    def test_w_decomposition_over_bounds_is_w(self):
+        # eta_t is the size of a Lambda set, a union; over each type's
+        # coincidence total bound_t instead, the decomposition gives the
+        # run's W and W_marginal
+        counts, report = run_experiment(
+            plan(gamma=1.2, samples=1 << 14, reps=3, seed=7, mode=MODE_SHARED)
+        )
+        for c, s in zip(counts, report["per_rep"]):
+            d = w_decomposition(c, {**s, **{"eta_" + t: s["bound_" + t] for t in INTERROGATING}})
+            assert abs(d["w_direct"] - s["W"]) <= 1e-12
+            assert abs(d["w_marginal"] - s["W_marginal"]) <= 1e-12
 
     def test_summary_mean_std(self):
         _, report = run_experiment(plan(reps=3))
