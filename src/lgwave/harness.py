@@ -242,7 +242,14 @@ def _detections(
       gamma**2 less D1's band, a superset of the exactly heralded rows, are
       decided.  With one context selecting the rows costs more than it skips.
 
-    Both paths decide with _clicks, so they agree on any BLAS."""
+    Both paths decide with _clicks, so they agree on any BLAS.
+
+    Each point's detections of a chunk are one (1 + 2k, n) bool buffer, at
+    most 19 x 2^16 B = 1.19 MiB, not one (points, 1 + 2k, n) array for the
+    grid: numpy asks for transparent huge pages for an array of 4 MiB or
+    more, and on the shared pass, which fills only each row's heralded
+    prefix, a grid-wide array (26 MiB on a 22-point grid) is then backed by
+    mostly untouched 2 MiB pages."""
     plan = plans[0]
     networks = []
     for src in dict.fromkeys(p.source for p in plans):
@@ -254,14 +261,14 @@ def _detections(
     for c in chunks:
         n = plan.chunk_size(c)
         rng = plan.chunk_rng(key, rep_index, c)
-        det = np.empty((len(plans), 1 + 2 * len(contexts), n), dtype=bool)
+        det = [np.empty((1 + 2 * len(contexts), n), dtype=bool) for _ in plans]
         filled = [0] * len(plans)
         for lo in range(0, n, ROW_BLOCK):
             x = sample_hidden(rng, min(ROW_BLOCK, n - lo))
             for m, band, thresholds, cut, points in networks:
                 y = x[_powers(x, m[:, :4])[:, 0] >= cut] if len(contexts) > 1 else x
                 for i, clicks in zip(points, _clicks(y, m, band, thresholds)):
-                    det[i, :, filled[i] : filled[i] + len(y)] = clicks
+                    det[i][:, filled[i] : filled[i] + len(y)] = clicks
                     filled[i] += len(y)
         yield [(n, d[0, :f], d[1::2, :f], d[2::2, :f]) for d, f in zip(det, filled)]
 

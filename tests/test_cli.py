@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -23,15 +24,87 @@ DATA = Path(__file__).parent / "data"
 
 # gamma lowered so a tiny sample count still yields coincidences
 TINY = ["--samples", "4096", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
+RUN = ["run", "--samples", "1024", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
+SWEEP = ["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
+         "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"]
+SHARED = ["--mode", "shared-draws"]
+
+# The golden CLI runs, by name: (argv, config file text or None, golden file
+# in DATA or None).  golden_<output>[_<variant>] is the output file of a
+# run, written to the relative --out named after the golden file, which
+# summary.json records as config.out.
+GOLDEN = {
+    "counts": (RUN, None, "golden_counts.csv"),
+    "counts-shared": ([*RUN, *SHARED], None, "golden_counts_shared.csv"),
+    # 4161 = 2 * 2048 + 65: the last row block is partial
+    "counts-partial": (["run", "--samples", "4161", *RUN[3:]], None, "golden_counts_partial.csv"),
+    "counts-from-config": (["run"], '{"samples": 1024, "reps": 2, "seed": 7, "gamma": 1.2}',
+                           "golden_counts.csv"),
+    "summary": (RUN, None, "golden_summary.json"),
+    "summary-shared": ([*RUN, *SHARED], None, "golden_summary_shared.json"),
+    "sweep": (SWEEP, None, "golden_sweep_independent.csv"),
+    "sweep-shared": ([*SWEEP, *SHARED], None, "golden_sweep_shared.csv"),
+    # the grid sets every point: --r and --gamma, as flags or config keys,
+    # are checked (INVALID) and leave sweep.csv as it is
+    "sweep-r-gamma": ([*SWEEP, "--r", "0.9", "--gamma", "3.0"], None,
+                      "golden_sweep_independent.csv"),
+    "sweep-r-gamma-config": (SWEEP, '{"r": 0.9, "gamma": 3.0}', "golden_sweep_independent.csv"),
+    # a config file's integral grid entry 1 writes the flag's r = 1.0
+    "sweep-from-config": (["sweep"], '{"sweep_r": [0.5, 1], "sweep_gamma": [1.2, 1.5], '
+                          '"samples": 4096, "reps": 2, "seed": 7}', "golden_sweep_independent.csv"),
+    "oracle": (["oracle"], None, "golden_oracle.json"),
+    "oracle-tilted": (["oracle", "--t1", "0.3", "--t2", "0.6", "--t3", "0.9", "--theta1", "0.7",
+                       "--theta2", "-1.1"], None, "golden_oracle_tilted.json"),
+    "contexts": (["contexts"], None, None),
+}
 
 
-def run_cli(args):
-    return main(args)
+def run_cli(script, cwd, argv, config=None, env={}):
+    """Run argv from directory cwd, with env added to the environment and,
+    unless config is None, --config cfg.json holding that text: through
+    main in this process if script is None, else as the command line
+    script[0] in a subprocess whose environment is script[1] plus env.
+    Returns the exit status and stderr."""
+    if config is not None:
+        (cwd / "cfg.json").write_text(config)
+        argv = [*argv, "--config", "cfg.json"]
+    if script is not None:
+        proc = subprocess.run([*script[0], *argv], cwd=cwd, env={**script[1], **env},
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stderr
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.chdir(cwd)
+        for name, value in env.items():
+            mp.setenv(name, value)
+        return main(argv), err.getvalue()
+
+
+# The lgwave script pip installs from [project.scripts], run without
+# PYTHONPATH so that it imports the installed package.
+LGWAVE = shutil.which("lgwave")
+INSTALLED = ([LGWAVE], {k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
+needs_lgwave = pytest.mark.skipif(LGWAVE is None, reason="no lgwave script on PATH")
+
+
+def check_golden(script, names, tmp_path):
+    """Each golden run of `names` exits 0 through run_cli(script), silent on stderr,
+    and writes its output byte for byte as its golden file holds it."""
+    for name in names:
+        argv, config, golden = GOLDEN[name]
+        (cwd := tmp_path / name).mkdir()
+        if golden is None:
+            assert run_cli(script, cwd, argv, config) == (0, ""), name
+            continue
+        stem = Path(golden).stem
+        assert run_cli(script, cwd, [*argv, "--out", stem], config) == (0, ""), name
+        output = cwd / stem / (stem.split("_")[1] + Path(golden).suffix)
+        assert output.read_bytes() == (DATA / golden).read_bytes(), name
 
 
 class TestContexts:
     def test_lists_nine_rows(self, capsys):
-        assert run_cli(["contexts"]) == 0
+        assert main(["contexts"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 10  # header + nine contexts
         assert "1  0  0  1" in out[7]
@@ -39,7 +112,7 @@ class TestContexts:
 
 class TestOracle:
     def test_ideal_predictions(self, capsys):
-        assert run_cli(["oracle"]) == 0
+        assert main(["oracle"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["stats"]["K"] == pytest.approx(1.5, abs=1e-12)
         assert doc["pmf_t1t2t3"]["+--"] == pytest.approx(0.09375, abs=1e-12)
@@ -49,25 +122,21 @@ class TestOracle:
         for v in doc["type_weight_sums"].values():
             assert v == pytest.approx(1.0, abs=1e-12)
 
-    def test_invalid_transmittance(self, capsys):
-        assert run_cli(["oracle", "--t1", "1.5"]) == 2
-        assert "invalid-config" in capsys.readouterr().err
-
     def test_out_from_config_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert run_cli(["oracle"]) == 0
+        assert main(["oracle"]) == 0
         assert list(tmp_path.iterdir()) == []
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out": "from_config"}))
-        assert run_cli(["oracle", "--config", str(cfg)]) == 0
-        assert run_cli(["oracle", "--out", "from_flag"]) == 0
+        assert main(["oracle", "--config", str(cfg)]) == 0
+        assert main(["oracle", "--out", "from_flag"]) == 0
         written = (tmp_path / "from_config" / "oracle.json").read_bytes()
         assert written == (tmp_path / "from_flag" / "oracle.json").read_bytes()
 
 
 class TestRun:
     def test_writes_outputs(self, tmp_path, capsys):
-        assert run_cli(["run", *TINY, "--out", str(tmp_path)]) == 0
+        assert main(["run", *TINY, "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["schema_version"] == 1
         assert doc["config"]["samples"] == 4096
@@ -79,11 +148,11 @@ class TestRun:
         assert len(lines) == 1 + 2 * 9
 
     def test_zero_samples_rejected(self, capsys):
-        assert run_cli(["run", "--samples", "0"]) == 2
+        assert main(["run", "--samples", "0"]) == 2
         assert "invalid-config" in capsys.readouterr().err
 
     def test_no_coincidences_reported(self, tmp_path, capsys):
-        rc = run_cli(["run", "--samples", "64", "--reps", "1", "--seed", "7",
+        rc = main(["run", "--samples", "64", "--reps", "1", "--seed", "7",
                       "--out", str(tmp_path)])
         assert rc == 1
         assert "no-statistics" in capsys.readouterr().err
@@ -91,7 +160,7 @@ class TestRun:
     def test_zero_efficiency_reported(self, tmp_path, capsys):
         # the per-context streams give PMFs, but the shared pass leaves a
         # Lambda set empty, so the W decomposition has no efficiency to divide by
-        rc = run_cli(["run", "--samples", "800", "--reps", "1", "--seed", "3",
+        rc = main(["run", "--samples", "800", "--reps", "1", "--seed", "3",
                       "--out", str(tmp_path)])
         assert rc == 1
         assert "no-statistics" in capsys.readouterr().err
@@ -109,7 +178,7 @@ class TestRun:
         argv = [command, *TINY, "--out", str(tmp_path)]
         if command == "sweep":
             argv += ["--sweep-r", "0.3", "--sweep-gamma", "1.2"]
-        assert run_cli(argv) == 4
+        assert main(argv) == 4
         err = capsys.readouterr().err
         assert "lgwave: error [invariant-violation]" in err
         assert "count ordering violated in context 1111: n_total=4096, n_herald=4097" in err
@@ -119,8 +188,8 @@ class TestRun:
 
     def test_same_seed_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run_cli(["run", *TINY, "--out", str(out1)]) == 0
-        assert run_cli(["run", *TINY, "--out", str(out2)]) == 0
+        assert main(["run", *TINY, "--out", str(out1)]) == 0
+        assert main(["run", *TINY, "--out", str(out2)]) == 0
         assert (out1 / "counts.csv").read_bytes() == (out2 / "counts.csv").read_bytes()
         j1 = json.loads((out1 / "summary.json").read_text())
         j2 = json.loads((out2 / "summary.json").read_text())
@@ -131,7 +200,7 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"samples": 4096, "reps": 1, "seed": 7, "gamma": 1.2}))
         out = tmp_path / "out"
-        assert run_cli(["run", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 0
         doc = json.loads((out / "summary.json").read_text())
         assert doc["config"]["reps"] == 2
         assert doc["config"]["samples"] == 4096
@@ -146,7 +215,7 @@ class TestRun:
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
         argv = [command, "--samples", "8192", "--reps", "2", "--gamma", "1.2"]
-        assert run_cli([*argv, "--out", str(not_a_dir / "x")]) == 3
+        assert main([*argv, "--out", str(not_a_dir / "x")]) == 3
         assert "lgwave: error [io-error]" in capsys.readouterr().err
 
     def test_interrupt_exits_130(self, tmp_path, monkeypatch, capsys):
@@ -154,7 +223,7 @@ class TestRun:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "run_experiment", interrupted)
-        assert run_cli(["run", *TINY, "--out", str(tmp_path / "out")]) == 130
+        assert main(["run", *TINY, "--out", str(tmp_path / "out")]) == 130
         assert capsys.readouterr().err.splitlines() == ["lgwave: interrupted"]
 
     def test_interrupt_inside_a_pool_task_exits_130(self, tmp_path, monkeypatch, capsys):
@@ -170,7 +239,7 @@ class TestRun:
         monkeypatch.setenv("LGWAVE_WORKERS", "1")
         argv = ["run", "--samples", "1024", "--reps", "3", "--out", str(tmp_path / "out")]
         try:
-            status = run_cli(argv)
+            status = main(argv)
         except KeyboardInterrupt:
             pytest.fail("KeyboardInterrupt escaped main")
         assert status == 130
@@ -180,38 +249,16 @@ class TestRun:
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sample": 4096}))
-        assert run_cli(["run", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg)]) == 2
         assert "invalid-config" in capsys.readouterr().err
 
-    def test_golden_counts(self, tmp_path, monkeypatch):
-        # frozen tiny runs and sweeps, one per draw mode, and the oracle at
-        # two optics: (argv, output, golden file)
-        run = ["run", "--samples", "1024", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
-        # 4161 = 2 * 2048 + 65: the last row block is partial
-        partial = ["run", "--samples", "4161", "--reps", "2", "--seed", "7", "--gamma", "1.2"]
-        sweep = ["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
-                 "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"]
-        shared = ["--mode", "shared-draws"]
-        oracle = ["oracle"]
-        tilted = ["--t1", "0.3", "--t2", "0.6", "--t3", "0.9", "--theta1", "0.7", "--theta2", "-1.1"]
-        cases = [
-            (run, "counts.csv", "golden_counts.csv"),
-            (run + shared, "counts.csv", "golden_counts_shared.csv"),
-            (partial, "counts.csv", "golden_counts_partial.csv"),
-            (sweep, "sweep.csv", "golden_sweep_independent.csv"),
-            (sweep + shared, "sweep.csv", "golden_sweep_shared.csv"),
-            (run, "summary.json", "golden_summary.json"),
-            (run + shared, "summary.json", "golden_summary_shared.json"),
-            (oracle, "oracle.json", "golden_oracle.json"),
-            (oracle + tilted, "oracle.json", "golden_oracle_tilted.json"),
-        ]
-        # a relative --out named after the golden file, which summary.json
-        # records as config.out
-        monkeypatch.chdir(tmp_path)
-        for argv, output, golden in cases:
-            out = Path(golden).stem
-            assert run_cli([*argv, "--out", out]) == 0
-            assert (tmp_path / out / output).read_bytes() == (DATA / golden).read_bytes(), golden
+    def test_golden_counts(self, tmp_path):
+        check_golden(None, GOLDEN, tmp_path)
+
+
+@needs_lgwave
+def test_golden_counts_installed(tmp_path):
+    check_golden(INSTALLED, GOLDEN, tmp_path)
 
 
 def numpy_blas():
@@ -231,23 +278,12 @@ def test_golden_counts_under_another_gemm_kernel(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    cases = [
-        (["run", "--samples", "1024", "--reps", "2", "--seed", "7", "--gamma", "1.2",
-          "--mode", "shared-draws"], "counts.csv", "golden_counts_shared.csv"),
-        (["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
-          "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"], "sweep.csv",
-         "golden_sweep_independent.csv"),
-    ]
-    for argv, output, golden in cases:
-        out = tmp_path / Path(golden).stem
-        subprocess.run([sys.executable, "-m", "lgwave.cli", *argv, "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        assert (out / output).read_bytes() == (DATA / golden).read_bytes(), golden
+    check_golden(([sys.executable, "-m", "lgwave.cli"], env), ["counts-shared", "sweep"], tmp_path)
 
 
 class TestSweep:
     def test_grid_cardinality(self, tmp_path):
-        assert run_cli([
+        assert main([
             "sweep", "--samples", "4096", "--reps", "1", "--seed", "7",
             "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.0,1.5",
             "--out", str(tmp_path),
@@ -259,46 +295,21 @@ class TestSweep:
             assert line.endswith(",1.0,1.5")
 
     def test_shared_draws_mode(self, tmp_path):
-        assert run_cli([
+        assert main([
             "sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
             "--mode", "shared-draws", "--sweep-r", "0.3", "--sweep-gamma", "1.2",
             "--out", str(tmp_path),
         ]) == 0
         assert len((tmp_path / "sweep.csv").read_text().strip().splitlines()) == 2
 
-    def test_r_and_gamma_checked_but_left_out_of_the_grid(self, tmp_path, capsys):
-        # the grid sets every point's r and gamma: --r and --gamma, as flags
-        # or config keys, are validated and leave sweep.csv as it is
-        grid = ["sweep", "--samples", "4096", "--reps", "2", "--seed", "7",
-                "--sweep-r", "0.5,1.0", "--sweep-gamma", "1.2,1.5"]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"r": 0.9, "gamma": 3.0}))
-        for i, extra in enumerate([["--r", "5", "--gamma", "9"], ["--config", str(cfg)]]):
-            out = tmp_path / str(i)
-            assert run_cli([*grid, *extra, "--out", str(out)]) == 0
-            golden = (DATA / "golden_sweep_independent.csv").read_bytes()
-            assert (out / "sweep.csv").read_bytes() == golden, extra
-        for bad in (["--r", "400"], ["--gamma", "-1"]):
-            assert run_cli([*grid, *bad, "--out", str(tmp_path / "bad")]) == 2
-            assert "invalid-config" in capsys.readouterr().err
-
-    def test_integral_config_grid_writes_the_flag_bytes(self, tmp_path):
-        # [0.5, 1] from a config file writes r = 1.0, as --sweep-r 0.5,1.0 does
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweep_r": [0.5, 1], "sweep_gamma": [1.2, 1.5],
-                                   "samples": 4096, "reps": 2, "seed": 7}))
-        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        golden = (DATA / "golden_sweep_independent.csv").read_bytes()
-        assert (tmp_path / "sweep.csv").read_bytes() == golden
-
     def test_empty_grid_rejected(self, capsys):
-        assert run_cli(["sweep", "--sweep-r", ""]) == 2
+        assert main(["sweep", "--sweep-r", ""]) == 2
         assert "invalid-config" in capsys.readouterr().err
 
     def test_failing_point_named(self, tmp_path, capsys):
         # gamma = 50 leaves its point without a single coincidence
         for mode in ("independent-draws", "shared-draws"):
-            assert run_cli([
+            assert main([
                 "sweep", "--samples", "4096", "--reps", "2", "--seed", "7", "--mode", mode,
                 "--sweep-r", "0.5", "--sweep-gamma", "1.2,50", "--out", str(tmp_path),
             ]) == 1
@@ -411,69 +422,80 @@ class TestSettingsTable:
 SMALL = ["--samples", "64", "--reps", "1"]
 
 
-@pytest.mark.parametrize(
-    "argv, config, workers",
-    [
-        pytest.param(["run", "--seed", "-1", *SMALL], None, None, id="negative-seed"),
-        pytest.param(["run", "--r", "nan", *SMALL], None, None, id="r-nan"),
-        pytest.param(["run", "--r", "356", *SMALL], None, None, id="r-356"),
-        pytest.param(["run", "--r", "1000", *SMALL], None, None, id="r-1000"),
-        pytest.param(["sweep", "--sweep-r", "0.5,1000", *SMALL], None, None,
-                     id="sweep-r-1000"),
-        pytest.param(["run", "--gamma", "nan", *SMALL], None, None, id="gamma-nan"),
-        pytest.param(["run", "--theta1", "nan", *SMALL], None, None, id="theta1-nan"),
-        pytest.param(["sweep", "--sweep-r", "nan", *SMALL], None, None, id="sweep-r-nan"),
-        pytest.param(["oracle", "--theta1", "nan"], None, None, id="oracle-theta1-nan"),
-        pytest.param(["sweep", "--sweep-r=-1", *SMALL], None, None, id="sweep-r-negative"),
-        pytest.param(["sweep", "--sweep-gamma=-1", *SMALL], None, None,
-                     id="sweep-gamma-negative"),
-        pytest.param(["run", "--reps", "1"], "[]", None, id="config-not-object"),
-        pytest.param(["run", "--reps", "1"], '{"samples": "2048"}', None,
-                     id="config-samples-string"),
-        pytest.param(["run", "--reps", "1"], '{"samples": 2048.5}', None,
-                     id="config-samples-float"),
-        pytest.param(["run", "--reps", "1"], "[" * 200_000 + "]" * 200_000, None,
-                     id="config-deeply-nested"),
-        pytest.param(["oracle", "--config", "a\x00b"], None, None, id="config-path-nul"),
-        pytest.param(["oracle"], '{"sweep_r": [0.5], "sweep_gamma": []}', None,
-                     id="config-sweep-keys-on-oracle"),
-        pytest.param(["run", "--mode", "foo", *SMALL], None, None, id="mode-unknown"),
-        pytest.param(["run", *SMALL], '{"r": true}', None, id="config-r-bool"),
-        pytest.param(["run", *SMALL], '{"seed": false}', None, id="config-seed-bool"),
-        pytest.param(["run", *SMALL], '{"gamma": "2"}', None, id="config-gamma-string"),
-        pytest.param(["run", "--samples", "64"], '{"reps": 2.0}', None,
-                     id="config-reps-float"),
-        pytest.param(["run", *SMALL], '{"t1": null}', None, id="config-t1-null"),
-        pytest.param(["run", *SMALL], '{"mode": 5}', None, id="config-mode-number"),
-        pytest.param(["sweep", *SMALL], '{"sweep_r": 0.5}', None, id="config-sweep-r-number"),
-        pytest.param(["sweep", *SMALL], '{"sweep_gamma": ["1.5"]}', None,
-                     id="config-sweep-gamma-string-entry"),
-        pytest.param(["sweep", *SMALL], '{"sweep_r": [0.5, null]}', None,
-                     id="config-sweep-r-null-entry"),
-        pytest.param(["run", *SMALL], None, "abc", id="workers-not-integer"),
-        pytest.param(["run", *SMALL], None, "0", id="workers-zero"),
-        pytest.param(["run", *SMALL], None, "-3", id="workers-negative"),
-    ],
-)
-def test_invalid_input_exits_2(argv, config, workers, tmp_path, capsys, monkeypatch):
-    argv = [*argv, "--out", str(tmp_path / "out")]
-    if config is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(config)
-        argv += ["--config", str(path)]
-    if workers is not None:
-        monkeypatch.setenv("LGWAVE_WORKERS", workers)
-    assert run_cli(argv) == 2
-    err = capsys.readouterr().err
-    assert "invalid-config" in err
-    assert "Traceback" not in err
+def bad(id, argv, names, config=None, env={}):
+    """A row of INVALID: argv, given a config file's text and environment
+    variables, exits 2 with a message that starts with `names`."""
+    return pytest.param(argv, config, env, names, id=id)
+
+
+INVALID = pytest.mark.parametrize("argv, config, env, names", [
+    bad("negative-seed", ["run", "--seed", "-1", *SMALL], "seed"),
+    bad("r-nan", ["run", "--r", "nan", *SMALL], "r"),
+    bad("r-356", ["run", "--r", "356", *SMALL], "r"),
+    bad("r-1000", ["run", "--r", "1000", *SMALL], "r"),
+    bad("sweep-r-1000", ["sweep", "--sweep-r", "0.5,1000", *SMALL], "r"),
+    bad("gamma-nan", ["run", "--gamma", "nan", *SMALL], "gamma"),
+    bad("theta1-nan", ["run", "--theta1", "nan", *SMALL], "theta1"),
+    bad("t1-1.5", ["run", "--t1", "1.5", *SMALL], "t1"),
+    bad("sweep-r-nan", ["sweep", "--sweep-r", "nan", *SMALL], "r"),
+    bad("oracle-theta1-nan", ["oracle", "--theta1", "nan"], "theta1"),
+    bad("oracle-t1-1.5", ["oracle", "--t1", "1.5"], "t1"),
+    bad("sweep-r-negative", ["sweep", "--sweep-r=-1", *SMALL], "r"),
+    bad("sweep-gamma-negative", ["sweep", "--sweep-gamma=-1", *SMALL], "gamma"),
+    bad("sweep-grid-r-400", [*SWEEP, "--r", "400"], "r"),
+    bad("sweep-grid-gamma-negative", [*SWEEP, "--gamma", "-1"], "gamma"),
+    bad("config-not-object", ["run", "--reps", "1"], "config file", config="[]"),
+    bad("config-samples-string", ["run", "--reps", "1"], "samples", config='{"samples": "2048"}'),
+    bad("config-samples-float", ["run", "--reps", "1"], "samples", config='{"samples": 2048.5}'),
+    bad("config-deeply-nested", ["run", "--reps", "1"], "config file",
+        config="[" * 200_000 + "]" * 200_000),
+    bad("config-path-nul", ["oracle", "--config", "a\x00b"], "cannot read config file:"),
+    bad("config-sweep-keys-on-oracle", ["oracle"], "unknown config keys:",
+        config='{"sweep_r": [0.5], "sweep_gamma": []}'),
+    bad("mode-unknown", ["run", "--mode", "foo", *SMALL], "unknown mode"),
+    bad("config-r-bool", ["run", *SMALL], "r", config='{"r": true}'),
+    bad("config-seed-bool", ["run", *SMALL], "seed", config='{"seed": false}'),
+    bad("config-gamma-string", ["run", *SMALL], "gamma", config='{"gamma": "2"}'),
+    bad("config-reps-float", ["run", "--samples", "64"], "reps", config='{"reps": 2.0}'),
+    bad("config-t1-null", ["run", *SMALL], "t1", config='{"t1": null}'),
+    bad("config-mode-number", ["run", *SMALL], "unknown mode", config='{"mode": 5}'),
+    bad("config-sweep-r-number", ["sweep", *SMALL], "sweep grids", config='{"sweep_r": 0.5}'),
+    bad("config-sweep-gamma-string-entry", ["sweep", *SMALL], "gamma",
+        config='{"sweep_gamma": ["1.5"]}'),
+    bad("config-sweep-r-null-entry", ["sweep", *SMALL], "r", config='{"sweep_r": [0.5, null]}'),
+    bad("workers-not-integer", ["run", *SMALL], "LGWAVE_WORKERS", env={"LGWAVE_WORKERS": "abc"}),
+    bad("workers-zero", ["run", *SMALL], "LGWAVE_WORKERS", env={"LGWAVE_WORKERS": "0"}),
+    bad("workers-negative", ["run", *SMALL], "LGWAVE_WORKERS", env={"LGWAVE_WORKERS": "-3"}),
+])
+
+
+def check_invalid(script, argv, config, env, names, tmp_path):
+    """argv exits 2 through run_cli(script) with one [invalid-config] message that
+    names its setting, no traceback, and nothing written to --out."""
+    status, err = run_cli(script, tmp_path, [*argv, "--out", "out"], config, env)
+    assert status == 2 and err.startswith(f"lgwave: error [invalid-config] {names} ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@INVALID
+def test_invalid_input_exits_2(argv, config, env, names, tmp_path):
+    check_invalid(None, argv, config, env, names, tmp_path)
+
+
+@needs_lgwave
+@INVALID
+def test_invalid_input_exits_2_installed(argv, config, env, names, tmp_path):
+    if "\x00" in "".join(argv):
+        pytest.skip("a process argument cannot hold a NUL byte")
+    check_invalid(INSTALLED, argv, config, env, names, tmp_path)
 
 
 def test_config_out_must_be_a_string(tmp_path, capsys, monkeypatch):
     # test_invalid_input_exits_2 always passes --out, which overrides the key
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text('{"out": 5}')
-    assert run_cli(["oracle", "--config", "cfg.json"]) == 2
+    assert main(["oracle", "--config", "cfg.json"]) == 2
     err = capsys.readouterr().err
     assert "invalid-config" in err
     assert "Traceback" not in err
@@ -484,21 +506,14 @@ def test_key_a_flag_overrides_is_not_checked(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"r": "0.3"}')
     argv = ["run", *TINY, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    assert run_cli([*argv, "--r", "0.3"]) == 0
-    assert run_cli(argv) == 2
+    assert main([*argv, "--r", "0.3"]) == 0
+    assert main(argv) == 2
 
 
 def test_oracle_runs_no_pool_so_reads_no_worker_count(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LGWAVE_WORKERS", "abc")
-    assert run_cli(["oracle", "--out", str(tmp_path)]) == 0
+    assert main(["oracle", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "oracle.json").is_file()
-
-
-def test_unopenable_config_path_is_not_blamed_on_json(capsys):
-    assert run_cli(["oracle", "--config", "a\x00b"]) == 2
-    err = capsys.readouterr().err
-    assert "cannot read config file" in err
-    assert "not valid JSON" not in err
 
 
 # Arbitrary JSON, plus in-range numbers and valid modes so valid configs occur too.

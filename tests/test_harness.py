@@ -390,6 +390,18 @@ class TestPeakMemory:
         peak = self.traced_peak(lambda: [None for _ in counterfactual_chunks([p], 0, chunks)])
         assert peak < self.CHUNK_OF_NORMALS
 
+    def test_shared_pass_buffers_stay_below_the_huge_page_threshold(self):
+        # numpy asks for transparent huge pages for every array of 4 MiB or
+        # more, so the shared pass, which fills only the heralded prefix of
+        # its buffers, keeps each under that: one grid-wide buffer for the
+        # default 22-point sweep would hold 22 x 19 x 2^16 B = 26 MiB.
+        plans = [plan(samples=CHUNK, mode=MODE_SHARED, r=0.1 * i, gamma=gamma)
+                 for gamma in (1.5, 2.0) for i in range(11)]
+        (dets,) = counterfactual_chunks(plans, 0, range(1))
+        assert len(dets) == 22
+        for _, d1, _, _ in dets:
+            assert d1.base.nbytes < 4 << 20
+
 
 class TestRowBlockInvariance:
     """A chunk's generator is read one ROW_BLOCK at a time, and the counts
