@@ -181,6 +181,12 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out_dir
 
 
+def _write(path: Path, text: str) -> None:
+    """Write an output file as UTF-8 bytes, so its line ends are "\n" on
+    every platform (text mode would write os.linesep)."""
+    path.write_bytes(text.encode("utf-8"))
+
+
 def write_run_outputs(
     cfg: RunConfig, counts: np.ndarray, report: dict, out_dir: Path
 ) -> tuple[Path, Path]:
@@ -188,16 +194,14 @@ def write_run_outputs(
     (reps, 9, 5) counts."""
     summary = {"schema_version": SCHEMA_VERSION, "config": asdict(cfg), **report}
     json_path = out_dir / "summary.json"
-    json_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write(json_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     csv_path = out_dir / "counts.csv"
     lines = [",".join(("rep", "context_bits", *COUNT_COLUMNS))]
     for rep, rows in enumerate(counts.tolist()):
         for bits, row in zip(CONTEXT_BITS, rows):
             lines.append(",".join(map(str, (rep, bits, *row))))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write(csv_path, "\n".join(lines) + "\n")
     return json_path, csv_path
 
 
@@ -220,7 +224,7 @@ def write_sweep_csv(plans: list[ExperimentPlan], kw: list, path: Path) -> None:
             f"{p.source.r},{p.gamma},{k['mean']!r},{k['std']!r},"
             f"{w['mean']!r},{w['std']!r},1.0,1.5"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -259,7 +263,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out is not None:
-        (_out_dir(cfg) / "oracle.json").write_text(text + "\n", encoding="utf-8")
+        _write(_out_dir(cfg) / "oracle.json", text + "\n")
     return EXIT_OK
 
 

@@ -1,0 +1,355 @@
+"""The mutation table: deliberate errors in the program, each with the tests
+that must catch it.
+
+    python tests/mutants.py             # every row
+    python tests/mutants.py NAME ...    # the named rows
+
+A row is a file, an exact old text in it, the new text that replaces it and
+the tests expected to fail.  Each row runs in a fresh temporary copy of
+src/, tests/ and pyproject.toml: in the checkout itself, pyproject's
+pythonpath = ["src"] would import the unmutated package first.  In the copy
+the old text must occur exactly once; it is replaced, and pytest runs the
+row's tests plus the golden CLI runs (GOLDEN_TEST).  A row is
+
+- killed when every one of its tests fails,
+- survived when one of them passes,
+- stale when its old text does not occur exactly once.
+
+First the rows' tests run on an unmutated copy and must all be collected
+and pass, so that a kill is the mutation's doing.  The exit status is 0
+only if every row is killed.  pytest does not collect this file: its name
+does not match test_*.py.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Every row also runs the golden CLI runs, byte for byte.
+GOLDEN_TEST = "test_cli.py::TestRun::test_golden_counts"
+
+# The closed-form rate gates: heralds and exit clicks, |z| <= 5 per row.
+RATE_GATES = (
+    "test_acceptance.py::test_11_herald_rate",
+    "test_experiment.py::TestHeraldRate::test_shared_draws_run",
+    "test_experiment.py::TestHeraldRate::test_grid_through_reduce",
+)
+SAME_LAW = (
+    "test_same_law.py::test_driver_matches_reference_sampler[0.3-1.2]",
+    "test_same_law.py::test_driver_matches_reference_sampler[1.0-1.5]",
+)
+EXACT = "test_harness.py::TestExactDecisions::"
+REDUCE_CASES = tuple(
+    f"test_experiment.py::TestReduce::test_results_land_on_their_rep_and_context[{mode}]"
+    for mode in ("independent-draws", "shared-draws")
+)
+
+# name -> (file, old text, new text, tests under tests/ expected to fail)
+MUTANTS = {
+    # the physics: source, network and threshold
+    "threshold-at-gamma": (
+        "src/lgwave/harness.py",
+        "np.array([plans[i].gamma * plans[i].gamma for i in points])",
+        "np.array([plans[i].gamma for i in points])",
+        RATE_GATES,
+    ),
+    "exit-threshold-5pct-high": (
+        "src/lgwave/harness.py",
+        "    clicks = power > t\n",
+        "    clicks = power > t * np.where(np.arange(len(power)) > 0, 1.05, 1.0)[:, None]\n",
+        RATE_GATES[1:],
+    ),
+    "source-without-sigma": (
+        "src/lgwave/optics.py",
+        "    a1 = SIGMA * (z1 * ch + np.conj(z2) * sh)\n"
+        "    a2 = SIGMA * (z2 * ch + np.conj(z1) * sh)\n",
+        "    a1 = z1 * ch + np.conj(z2) * sh\n    a2 = z2 * ch + np.conj(z1) * sh\n",
+        RATE_GATES,
+    ),
+    "source-a2-cosh-sinh-swapped": (
+        "src/lgwave/optics.py",
+        "a2 = SIGMA * (z2 * ch + np.conj(z1) * sh)",
+        "a2 = SIGMA * (z2 * sh + np.conj(z1) * ch)",
+        RATE_GATES,
+    ),
+    "source-a2-polarizations-crossed": (
+        "src/lgwave/optics.py",
+        "a2 = SIGMA * (z2 * ch + np.conj(z1) * sh)",
+        "a2 = SIGMA * (z2 * ch + np.conj(z1[..., ::-1]) * sh)",
+        ("test_acceptance.py::test_10_physics_micro_oracles",),
+    ),
+    "stage3-d2-sqrt-t-r-swapped": (
+        "src/lgwave/optics.py",
+        "    a2_out, a3_out = _split(a2, a3, optics.t3)\n    return a3_out, a2_out\n",
+        "    a2_out, a3_out = _split(a2, a3, optics.t3)\n"
+        "    return _split(a2, a3, 1.0 - optics.t3)[1], a2_out\n",
+        RATE_GATES,
+    ),
+    "beam-splitter-not-unitary": (
+        "src/lgwave/optics.py",
+        "    sq_r = np.sqrt(1.0 - t)\n",
+        "    sq_r = 1.0 - t\n",
+        ("test_acceptance.py::test_10_physics_micro_oracles",),
+    ),
+    "bb1-injects-zp3": (
+        "src/lgwave/optics.py",
+        'SIGMA * _z(h, f"zp{n}")',
+        'SIGMA * _z(h, f"zp{3 if n == 1 else n}")',
+        ("test_oracle.py::TestCompiledNetwork::test_vacuum_reaches_the_exits_by_the_blocker_rule",),
+    ),
+    "oracle-path-sign-flipped": (
+        "src/lgwave/oracle.py",
+        "        - b1 * b3 * e1 * e2 * np.sqrt(t1 * t2 * t3)\n",
+        "        + b1 * b3 * e1 * e2 * np.sqrt(t1 * t2 * t3)\n",
+        ("test_acceptance.py::test_06_oracle_exactness",),
+    ),
+    # exact decisions and the two kernel paths
+    "clicks-float-only": (
+        "src/lgwave/harness.py",
+        "    if near.any():\n",
+        "    if False:\n",
+        (
+            EXACT + "test_amplitude_rounded_onto_the_threshold_clicks",
+            *(EXACT + f"test_thresholds_on_and_beside_the_float_power[{r}]"
+              for r in ("0.0", "0.3", "0.9")),
+            EXACT + "test_herald_rounded_onto_gamma_squared_counts_on_both_paths",
+        ),
+    ),
+    "prefilter-without-band": (
+        "src/lgwave/harness.py",
+        "_powers(x, m[:, :4])[:, 0] >= cut]",
+        "_powers(x, m[:, :4])[:, 0] > thresholds.min()]",
+        (EXACT + "test_herald_rounded_onto_gamma_squared_counts_on_both_paths",),
+    ),
+    "prefilter-at-highest-gamma": (
+        "src/lgwave/harness.py",
+        "thresholds.min() - band[0]",
+        "thresholds.max() - band[0]",
+        ("test_harness.py::TestKernelMatchesReference::test_counterfactual_detections[grid-3]",),
+    ),
+    "prefilter-skipped-on-first-block": (
+        "src/lgwave/harness.py",
+        "if len(contexts) > 1 else x",
+        "if len(contexts) > 1 and lo > 0 else x",
+        (
+            "test_harness.py::TestRowBlockInvariance::test_outputs_match_default_block[1000]",
+            "test_harness.py::TestRowBlockInvariance::test_outputs_match_default_block[65536]",
+        ),
+    ),
+    "streams-unseeded": (
+        "src/lgwave/harness.py",
+        "np.random.SeedSequence([self.seed, stream_key, rep_index, chunk_index])",
+        "np.random.SeedSequence()",
+        (GOLDEN_TEST,),
+    ),
+    "samples-zero-accepted": (
+        "src/lgwave/harness.py",
+        '(("samples", 1), ("reps", 1), ("seed", 0))',
+        '(("samples", 0), ("reps", 1), ("seed", 0))',
+        ("test_cli.py::test_invalid_input_exits_2[samples-zero]",),
+    ),
+    "groups-boundary-shifted": (
+        "src/lgwave/harness.py",
+        '"t1t3": slice(1, 3), "t2t3": slice(3, 5)',
+        '"t1t3": slice(1, 4), "t2t3": slice(4, 5)',
+        ("test_harness.py::TestStandardContexts::test_groups_partition_rows_by_type",),
+    ),
+    # the Lambda sets and the marginal form
+    "lambda-valid-either-exit": (
+        "src/lgwave/stats.py",
+        "valid = d1 & (d2 ^ d3)",
+        "valid = d1 & (d2 | d3)",
+        SAME_LAW,
+    ),
+    "lambda-pairs-wrong": (
+        "src/lgwave/stats.py",
+        "combinations(lam[1:], 2)",
+        "combinations(lam[:3], 2)",
+        (*SAME_LAW, "test_stats.py::TestLambdaSets::test_update_matches_reference_sets[2-500]"),
+    ),
+    "marginal-lg-pairs-swapped": (
+        "src/lgwave/stats.py",
+        "lg_stats(marginal_13(p3), marginal_23(p3), p3)",
+        "lg_stats(marginal_23(p3), marginal_13(p3), p3)",
+        ("test_acceptance.py::test_07_marginal_identity_suite",),
+    ),
+    "w-marginal-reports-k": (
+        "src/lgwave/experiment.py",
+        '"W_marginal": w_marg}',
+        '"W_marginal": k_marg}',
+        ("test_acceptance.py::test_07_marginal_identity_suite",),
+    ),
+    # the driver's task list and its reduction
+    "futures-without-cancel": (
+        "src/lgwave/experiment.py",
+        "results = list(pool.map(lambda task: task(), tasks))",
+        "results = [f.result() for f in [pool.submit(t) for t in tasks]]",
+        (
+            "test_experiment.py::TestReduce::test_failing_task_drops_the_queue",
+            "test_cli.py::TestRun::test_interrupt_inside_a_pool_task_exits_130",
+        ),
+    ),
+    "shared-chunk-to-next-rep": (
+        "src/lgwave/experiment.py",
+        "point_accs[j // len(chunks)]",
+        "point_accs[(j // len(chunks) + 1) % plan.reps]",
+        REDUCE_CASES,
+    ),
+    "shared-chunk-rep-modulo": (
+        "src/lgwave/experiment.py",
+        "point_accs[j // len(chunks)]",
+        "point_accs[j % len(chunks)]",
+        REDUCE_CASES,
+    ),
+    "shared-sweep-without-shared-pass": (
+        "src/lgwave/experiment.py",
+        "if shared or efficiency else ()",
+        "if efficiency else ()",
+        (GOLDEN_TEST,),
+    ),
+    # the command line
+    "schema-version-bumped": (
+        "src/lgwave/cli.py",
+        "SCHEMA_VERSION = 1\n",
+        "SCHEMA_VERSION = 2\n",
+        (GOLDEN_TEST,),
+    ),
+    "config-overrides-flags": (
+        "src/lgwave/cli.py",
+        "if getattr(args, key, None) is None:",
+        "if True:",
+        (GOLDEN_TEST,),
+    ),
+    "config-null-accepted": (
+        "src/lgwave/cli.py",
+        '                if value is None:\n'
+        '                    raise InvalidConfig(f"{key} must not be null")\n',
+        "",
+        ("test_cli.py::test_invalid_input_exits_2[config-t1-null]",),
+    ),
+    "config-unknown-keys-accepted": (
+        "src/lgwave/cli.py",
+        "        if unknown:\n",
+        "        if False:\n",
+        ("test_cli.py::test_invalid_input_exits_2[config-unknown-key]",),
+    ),
+    "config-out-type-unchecked": (
+        "src/lgwave/cli.py",
+        'if not isinstance(cfg.out, str) or "\\0" in cfg.out:',
+        'if "\\0" in cfg.out:',
+        ("test_cli.py::test_config_out_must_be_a_string",),
+    ),
+    "grid-check-truth-test": (
+        "src/lgwave/cli.py",
+        "all(isinstance(g, list) and g for g in",
+        "all(g for g in",
+        ("test_cli.py::test_invalid_input_exits_2[config-sweep-r-number]",),
+    ),
+    "empty-grid-accepted": (
+        "src/lgwave/cli.py",
+        "all(isinstance(g, list) and g for g in",
+        "all(isinstance(g, list) for g in",
+        ("test_cli.py::test_invalid_input_exits_2[sweep-grid-empty]",),
+    ),
+    "sweep-first-gamma-only": (
+        "src/lgwave/cli.py",
+        "for gamma in cfg.sweep_gamma\n",
+        "for gamma in cfg.sweep_gamma[:1]\n",
+        (GOLDEN_TEST,),
+    ),
+    # the golden files themselves
+    "golden-partial-digit": (
+        "tests/data/golden_counts_partial.csv",
+        "0,1111,4161,1225,172,370,100\n",
+        "0,1111,4161,1225,172,370,101\n",
+        (GOLDEN_TEST,),
+    ),
+}
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest)
+
+
+def run_pytest(dest: Path, ids) -> tuple[int, set[str], str]:
+    """Run the tests `ids` in the copy at dest: pytest's exit status, the
+    node ids it reports failed or errored (a file, for a collection error),
+    and its stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
+         *(f"tests/{i}" for i in ids)],
+        cwd=dest, env={**os.environ, "PYTHONPATH": str(dest / "src")},
+        capture_output=True, text=True, timeout=900,
+    )
+    failed = set()
+    for line in proc.stdout.splitlines():
+        status, _, rest = line.partition(" ")
+        if status in ("FAILED", "ERROR"):
+            failed.add(rest.split(" - ", 1)[0].removeprefix("tests/"))
+    return proc.returncode, failed, proc.stderr
+
+
+def caught(test: str, failed: set[str]) -> bool:
+    """Whether test, or a case of it, or its whole file failed."""
+    return any(f == test or f.startswith((test + "[", test + "::")) or f == test.split("::")[0]
+               for f in failed)
+
+
+def run_row(file: str, old: str, new: str, tests) -> tuple[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        dest = Path(tmp)
+        copy_tree(dest)
+        path = dest / file
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return "stale", f"old text occurs {text.count(old)} times in {file}"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        status, failed, err = run_pytest(dest, dict.fromkeys([*tests, GOLDEN_TEST]))
+    if status not in (0, 1, 2):
+        return "stale", f"pytest exit {status}: {err.strip()}"
+    missed = [t for t in tests if not caught(t, failed)]
+    golden = f"golden {'failed' if caught(GOLDEN_TEST, failed) else 'passed'}"
+    if missed:
+        return "survived", f"passed: {', '.join(missed)}; {golden}"
+    return "killed", f"{len(tests)} of {len(tests)} failed; {golden}"
+
+
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - set(MUTANTS))
+    if unknown:
+        print(f"unknown rows: {', '.join(unknown)}")
+        return 2
+    rows = {name: MUTANTS[name] for name in names or MUTANTS}
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(Path(tmp))
+        tests = dict.fromkeys(t for row in rows.values() for t in row[3])
+        status, failed, err = run_pytest(Path(tmp), dict.fromkeys([*tests, GOLDEN_TEST]))
+    if status != 0:
+        print(f"unmutated copy: pytest exit {status}, failed: {', '.join(sorted(failed))}")
+        print(err.strip())
+        return 1
+    print(f"unmutated copy: {len(tests)} tests pass ({time.perf_counter() - start:.1f} s)",
+          flush=True)
+    verdicts = []
+    for name, row in rows.items():
+        t0 = time.perf_counter()
+        verdict, detail = run_row(*row)
+        verdicts.append(verdict)
+        print(f"{verdict:8} {name:34} {detail} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    counts = ", ".join(f"{verdicts.count(v)} {v}" for v in ("killed", "survived", "stale"))
+    print(f"{len(rows)} rows: {counts} in {time.perf_counter() - start:.1f} s")
+    return 0 if verdicts.count("killed") == len(rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

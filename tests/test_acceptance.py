@@ -192,12 +192,15 @@ def test_10_physics_micro_oracles():
     prod = a1[:, 0] * a2s[:, 0]
     se_c = prod.std() / np.sqrt(n)
     moment2_ok = abs(prod.mean() - SIGMA**2 * np.sinh(2 * r)) < 3 * se_c
-    ok = unitary_ok and moment1_ok and moment2_ok
+    # H with V uncorrelated
+    cross = a1[:, 0] * a2s[:, 1]
+    cross_ok = abs(cross.mean()) < 3 * cross.std() / np.sqrt(n)
+    ok = unitary_ok and moment1_ok and moment2_ok and cross_ok
     check(
         "10 physics micro-oracles", ok,
         f"unitarity={unitary_ok} E||a1||^2={power.mean():.5f} "
         f"target={np.cosh(2 * r):.5f} E[a1 a2]={prod.mean().real:.5f} "
-        f"target={SIGMA**2 * np.sinh(2 * r):.5f}",
+        f"target={SIGMA**2 * np.sinh(2 * r):.5f} |E[a1_H a2_V]|={abs(cross.mean()):.5f}",
     )
 
 

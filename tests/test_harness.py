@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from classical_reference import herald_probability
 from lgwave import harness
 from lgwave.harness import (
     CHUNK,
@@ -106,16 +107,12 @@ class TestEvaluateContext:
         assert not d1.any() and not d2.any() and not d3.any()
 
     def test_herald_rate_matches_chi2_tail(self):
-        # ||a1||^2 is (v/2) * chi^2_4 with v = cosh(2r)/2, so the herald
-        # probability has the closed form exp(-x/2)(1 + x/2), x = 2 gamma^2 / v
         r, gamma = 0.3, 2.0
         n = 1 << 18
         rng = np.random.Generator(np.random.Philox(11))
         h = sample_hidden(rng, n)
         d1, _, _ = evaluate_context(h, SourceParams(r=r), OPEN, DEFAULT_OPTICS, gamma)
-        v = np.cosh(2 * r) / 2
-        x = 2 * gamma**2 / v
-        p = np.exp(-x / 2) * (1 + x / 2)
+        p = herald_probability(r, gamma)
         se = np.sqrt(p * (1 - p) / n)
         assert abs(d1.mean() - p) < 3 * se
 

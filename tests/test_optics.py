@@ -106,25 +106,6 @@ class TestSourceOutput:
         np.testing.assert_allclose(a2, [1j * SIGMA, 0])
         np.testing.assert_allclose(a3, [0, SIGMA])
 
-    def test_second_moments(self):
-        # E[||a1||^2] = cosh 2r and E[a1 a2^T] = sigma^2 sinh(2r) I
-        r = 0.3
-        n = 1_000_000
-        h = sample_hidden(rng(6), n)
-        a1, a2, _ = source_output(h, SourceParams(r=r))
-        power = (np.abs(a1) ** 2).sum(axis=1)
-        se = power.std() / np.sqrt(n)
-        assert abs(power.mean() - np.cosh(2 * r)) < 3 * se
-
-        prod_hh = a1[:, 0] * a2[:, 0]
-        target = SIGMA**2 * np.sinh(2 * r)
-        se = prod_hh.std() / np.sqrt(n)
-        assert abs(prod_hh.mean() - target) < 3 * se
-        # off-diagonal: H with V uncorrelated
-        prod_hv = a1[:, 0] * a2[:, 1]
-        se = prod_hv.std() / np.sqrt(n)
-        assert abs(prod_hv.mean()) < 3 * se
-
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             SourceParams(r=-0.1)
@@ -185,25 +166,6 @@ class TestStages:
         out2, out3 = stage3(a2, a3, OpticalParams(t3=0.75))
         np.testing.assert_allclose(out2, [np.sqrt(0.75) + 0.5, 0])
         np.testing.assert_allclose(out3, [0.5 - np.sqrt(0.75), 0])
-
-    def test_unblocked_norm_conservation(self):
-        # 10^4 random inputs and parameters, all three stages, 1e-12
-        n = 10_000
-        g = rng(7)
-        h = sample_hidden(g, n)
-        a2 = (g.standard_normal((n, 2)) + 1j * g.standard_normal((n, 2)))
-        a3 = (g.standard_normal((n, 2)) + 1j * g.standard_normal((n, 2)))
-        optics = OpticalParams(
-            t1=g.uniform(), t2=g.uniform(), t3=g.uniform(),
-            theta1=g.uniform(0, 2 * np.pi), theta2=g.uniform(0, 2 * np.pi),
-        )
-        p_in = (np.abs(a2) ** 2 + np.abs(a3) ** 2).sum(axis=1)
-        for stage in (lambda x, y: stage1(x, y, h, OPEN, optics),
-                      lambda x, y: stage2(x, y, h, OPEN, optics),
-                      lambda x, y: stage3(x, y, optics)):
-            o2, o3 = stage(a2, a3)
-            p_out = (np.abs(o2) ** 2 + np.abs(o3) ** 2).sum(axis=1)
-            np.testing.assert_allclose(p_out, p_in, rtol=1e-12, atol=1e-12)
 
     def test_blocked_output_independent_of_input(self):
         n = 100_000

@@ -3,12 +3,7 @@ import pytest
 
 from lgwave.harness import CONTEXTS
 from lgwave.optics import SIGMA, OpticalParams, SourceParams, compile_network
-from lgwave.oracle import (
-    amplitudes,
-    predicted_pmfs,
-    predicted_stats,
-    type_weight_sums,
-)
+from lgwave.oracle import amplitudes, predicted_pmfs, predicted_stats
 from lgwave.stats import marginal_12
 
 IDEAL = OpticalParams(t1=0.5, t2=0.75, t3=0.75, theta1=0.0, theta2=0.0)
@@ -118,15 +113,6 @@ class TestCompiledNetwork:
                 for vector, rule in VACUUM_RULES.items():
                     reaches = exits[4 * vector : 4 * vector + 4].any()
                     assert reaches == bool(rule(*bits)), (bits, vector)
-
-
-class TestTypeWeightSums:
-    def test_unity_for_random_parameters(self):
-        rng = np.random.default_rng(4)
-        for _ in range(1000):
-            sums = type_weight_sums(random_optics(rng))
-            for value in sums.values():
-                assert value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPredictedPmfs:

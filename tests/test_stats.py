@@ -141,14 +141,6 @@ class TestCorrelationAndStatistics:
 
 
 class TestMarginalLg:
-    def test_identity_bounds_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10_000):
-            p3 = random_pmf3(rng)
-            k_marg, w_marg = marginal_lg(p3)
-            assert k_marg <= 1.0 + 1e-12
-            assert w_marg <= 1e-12
-
     def test_boundary_point_mass(self):
         p3 = np.zeros((2, 2, 2))
         p3[0, 0, 0] = 1.0  # (+,+,+)
