@@ -149,11 +149,10 @@ def _tally(n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.n
     from the detections on a subset of its rows that holds every heralded
     row.
 
-    d1 has shape (n,); d2 and d3 have shape (n,) for one context or (k, n)
-    for k contexts evaluated on the same draws, one context per row.  Every
-    count is gated on d1, so rows left out could not add to any of them.
+    d1 has shape (n,); d2 and d3 have shape (k, n) for k contexts
+    evaluated on the same draws, one context per row.  Every count is gated
+    on d1, so rows left out could not add to any of them.
     """
-    d2, d3 = np.atleast_2d(d2, d3)
     coincident = d1 & d2
     columns = (
         n_total,

@@ -17,8 +17,8 @@ row's tests plus the golden CLI runs (GOLDEN_TEST).  A row is
 
 First the rows' tests run on an unmutated copy and must all be collected
 and pass, so that a kill is the mutation's doing.  The exit status is 0
-only if every row is killed.  pytest does not collect this file: its name
-does not match test_*.py.
+only if every row is killed, and the CI job `mutants` fails otherwise.
+pytest does not collect this file: its name does not match test_*.py.
 """
 
 import os
@@ -45,6 +45,12 @@ SAME_LAW = (
     "test_same_law.py::test_driver_matches_reference_sampler[1.0-1.5]",
 )
 EXACT = "test_harness.py::TestExactDecisions::"
+# The kernel against the float reference, and the reference's click line.
+KERNEL_VS_REFERENCE = "test_harness.py::TestKernelMatchesReference::"
+REFERENCE_CLICKS = (
+    "    return tuple((a.real**2 + a.imag**2).sum(axis=-1) > gamma * gamma for a in (a1, a2, a3))\n"
+)
+SAMPLER = "test_optics.py::TestSampleHidden::"
 REDUCE_CASES = tuple(
     f"test_experiment.py::TestReduce::test_results_land_on_their_rep_and_context[{mode}]"
     for mode in ("independent-draws", "shared-draws")
@@ -109,6 +115,64 @@ MUTANTS = {
         "        + b1 * b3 * e1 * e2 * np.sqrt(t1 * t2 * t3)\n",
         ("test_acceptance.py::test_06_oracle_exactness",),
     ),
+    # the sampler: 28 normals per row, times SIGMA, read in stream order
+    "sample-hidden-flat": (
+        "src/lgwave/optics.py",
+        "x = rng.standard_normal((n, NORMALS_PER_REALIZATION))",
+        "x = rng.standard_normal(n * NORMALS_PER_REALIZATION)",
+        (SAMPLER + "test_packed_draw_matches_complex_assembly[1]",),
+    ),
+    "sample-hidden-unscaled": (
+        "src/lgwave/optics.py",
+        "    x *= SIGMA\n",
+        "",
+        (SAMPLER + "test_packed_draw_matches_complex_assembly[1]",),
+    ),
+    "sample-hidden-extra-row": (
+        "src/lgwave/optics.py",
+        "x = rng.standard_normal((n, NORMALS_PER_REALIZATION))",
+        "x = rng.standard_normal((n + 1, NORMALS_PER_REALIZATION))[:n]",
+        (SAMPLER + "test_consecutive_draws_partition_the_stream[1]",),
+    ),
+    "sample-hidden-restarts-stream": (
+        "src/lgwave/optics.py",
+        "    x = rng.standard_normal((n, NORMALS_PER_REALIZATION))\n",
+        "    state = rng.bit_generator.state\n"
+        "    x = rng.standard_normal((n, NORMALS_PER_REALIZATION))\n"
+        "    rng.bit_generator.state = state\n",
+        (SAMPLER + "test_consecutive_draws_partition_the_stream[1]",),
+    ),
+    # the float reference, which only the tests call
+    "reference-batch-keepdims": (
+        "src/lgwave/harness.py",
+        REFERENCE_CLICKS,
+        REFERENCE_CLICKS.replace(".sum(axis=-1)", ".sum(axis=-1, keepdims=True)"),
+        ("test_harness.py::TestEvaluateContext::test_single_state_is_its_row_of_the_batch",),
+    ),
+    "reference-power-minus-imag": (
+        "src/lgwave/harness.py",
+        REFERENCE_CLICKS,
+        REFERENCE_CLICKS.replace("a.real**2 + a.imag**2", "a.real**2 - a.imag**2"),
+        (KERNEL_VS_REFERENCE + "test_counterfactual_detections[gamma-0]",),
+    ),
+    "reference-threshold-flipped": (
+        "src/lgwave/harness.py",
+        REFERENCE_CLICKS,
+        REFERENCE_CLICKS.replace("> gamma", "< gamma"),
+        (KERNEL_VS_REFERENCE + "test_counterfactual_detections[gamma-1e6]",),
+    ),
+    "reference-threshold-5pct-high": (
+        "src/lgwave/harness.py",
+        REFERENCE_CLICKS,
+        REFERENCE_CLICKS.replace("> gamma * gamma", "> 1.05 * gamma * gamma"),
+        (KERNEL_VS_REFERENCE + "test_counterfactual_detections[2]",),
+    ),
+    "reference-herald-at-d2": (
+        "src/lgwave/harness.py",
+        REFERENCE_CLICKS,
+        REFERENCE_CLICKS.replace("(a1, a2, a3)", "(a2, a2, a3)"),
+        (KERNEL_VS_REFERENCE + "test_counterfactual_detections[2]",),
+    ),
     # exact decisions and the two kernel paths
     "clicks-float-only": (
         "src/lgwave/harness.py",
@@ -131,7 +195,7 @@ MUTANTS = {
         "src/lgwave/harness.py",
         "thresholds.min() - band[0]",
         "thresholds.max() - band[0]",
-        ("test_harness.py::TestKernelMatchesReference::test_counterfactual_detections[grid-3]",),
+        (KERNEL_VS_REFERENCE + "test_counterfactual_detections[grid-3]",),
     ),
     "prefilter-skipped-on-first-block": (
         "src/lgwave/harness.py",
@@ -148,6 +212,36 @@ MUTANTS = {
         "np.random.SeedSequence()",
         (GOLDEN_TEST,),
     ),
+    "streams-rep-blind": (
+        "src/lgwave/harness.py",
+        "[self.seed, stream_key, rep_index, chunk_index]",
+        "[self.seed, stream_key, 0, chunk_index]",
+        (GOLDEN_TEST,),
+    ),
+    "kernel-draws-fresh-entropy": (
+        "src/lgwave/harness.py",
+        "rng = plan.chunk_rng(key, rep_index, c)",
+        "rng = np.random.default_rng()",
+        (GOLDEN_TEST, KERNEL_VS_REFERENCE + "test_run_context_counts[4]"),
+    ),
+    "shared-exits-unsliced": (
+        "src/lgwave/harness.py",
+        "d[1::2, :f], d[2::2, :f]",
+        "d[1::2], d[2::2]",
+        (KERNEL_VS_REFERENCE + "test_counterfactual_detections[2]",),
+    ),
+    "herald-gated-on-an-exit": (
+        "src/lgwave/harness.py",
+        "        np.count_nonzero(d1),\n",
+        "        np.count_nonzero(d1 & (d2 | d3), axis=1),\n",
+        (GOLDEN_TEST,),
+    ),
+    "plus-without-coincidence": (
+        "src/lgwave/harness.py",
+        "np.count_nonzero(coincident & ~d3, axis=1)",
+        "np.count_nonzero(~d3, axis=1)",
+        (GOLDEN_TEST,),
+    ),
     "samples-zero-accepted": (
         "src/lgwave/harness.py",
         '(("samples", 1), ("reps", 1), ("seed", 0))',
@@ -160,7 +254,15 @@ MUTANTS = {
         '"t1t3": slice(1, 4), "t2t3": slice(4, 5)',
         ("test_harness.py::TestStandardContexts::test_groups_partition_rows_by_type",),
     ),
-    # the Lambda sets and the marginal form
+    # the PMFs, the Lambda sets and the marginal form
+    "pmf2-contexts-swapped": (
+        "src/lgwave/stats.py",
+        "np.stack([counts_plus_ctx[[N_PLUS, N_MINUS]],\n"
+        "                                 counts_minus_ctx[[N_PLUS, N_MINUS]]])",
+        "np.stack([counts_minus_ctx[[N_PLUS, N_MINUS]],\n"
+        "                                 counts_plus_ctx[[N_PLUS, N_MINUS]]])",
+        ("test_stats.py::TestPmfConstruction::test_layout_index_0_is_plus",),
+    ),
     "lambda-valid-either-exit": (
         "src/lgwave/stats.py",
         "valid = d1 & (d2 ^ d3)",
@@ -186,6 +288,12 @@ MUTANTS = {
         ("test_acceptance.py::test_07_marginal_identity_suite",),
     ),
     # the driver's task list and its reduction
+    "herald-ordering-strict": (
+        "src/lgwave/experiment.py",
+        "(n_herald > n_total)",
+        "(n_herald >= n_total)",
+        ("test_cli.py::TestRun::test_no_coincidences_reported[gamma-0]",),
+    ),
     "futures-without-cancel": (
         "src/lgwave/experiment.py",
         "results = list(pool.map(lambda task: task(), tasks))",
@@ -243,7 +351,8 @@ MUTANTS = {
         "src/lgwave/cli.py",
         'if not isinstance(cfg.out, str) or "\\0" in cfg.out:',
         'if "\\0" in cfg.out:',
-        ("test_cli.py::test_config_out_must_be_a_string",),
+        ("test_cli.py::test_config_out_must_be_a_string",
+         "test_cli.py::test_any_config_document_exits_0_or_2"),
     ),
     "grid-check-truth-test": (
         "src/lgwave/cli.py",

@@ -139,11 +139,16 @@ class TestOracle:
 
 
 class TestRun:
-    def test_no_coincidences_reported(self, tmp_path, capsys):
-        rc = main(["run", "--samples", "64", "--reps", "1", "--seed", "7",
-                      "--out", str(tmp_path)])
+    @pytest.mark.parametrize("gamma, message", [
+        ("2.0", "no herald detections in the shared-draw record"),
+        # every detector clicks on every row: n_herald == n_total, all doubles
+        ("0", "all four coincidence counts are zero"),
+    ], ids=["gamma-2", "gamma-0"])
+    def test_no_coincidences_reported(self, gamma, message, tmp_path, capsys):
+        rc = main(["run", "--samples", "64", "--reps", "1", "--seed", "7", "--gamma", gamma,
+                   "--out", str(tmp_path)])
         assert rc == 1
-        assert "no-statistics" in capsys.readouterr().err
+        assert f"[no-statistics] {message}" in capsys.readouterr().err
 
     def test_zero_efficiency_reported(self, tmp_path, capsys):
         # the per-context streams give PMFs, but the shared pass leaves a
@@ -481,11 +486,12 @@ CONFIG_DOCS = (
 )
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(doc=CONFIG_DOCS)
 @example(doc={"out": "o\x00x"})
 @example(doc={"out": "W"})
 @example(doc={"out": "/"})
+@example(doc={"out": 0})
 def test_any_config_document_exits_0_or_2(doc):
     # a relative "out" writes oracle.json under the working directory, so the
     # call runs inside the temporary directory (contextlib.chdir needs 3.11);
@@ -506,7 +512,7 @@ def test_any_config_document_exits_0_or_2(doc):
             os.chdir(cwd)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(doc=CONFIG_DOCS)
 @example(doc={"out": "o\x00x"})
 def test_any_config_document_loads_or_is_invalid_on_sweep(doc):

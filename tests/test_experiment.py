@@ -25,7 +25,6 @@ from lgwave.harness import (
     COUNT_COLUMNS,
     GROUPS,
     MODE_SHARED,
-    N_HERALD,
     STANDARD_CONTEXT_TABLE,
     ExperimentPlan,
     run_context,
@@ -61,13 +60,6 @@ class TestRunExperiment:
             for sa, sb in zip(a[1]["per_rep"], b[1]["per_rep"]):
                 assert sa["K"] == sb["K"] and sa["W"] == sb["W"]
                 assert sa == sb
-
-    def test_shared_mode_uses_counterfactual_counts(self):
-        p = plan(mode=MODE_SHARED)
-        counts, _ = run_experiment(p)
-        # all contexts see the same draws, so the herald column is shared
-        for c in counts:
-            assert len(np.unique(c[:, N_HERALD])) == 1
 
     def test_simulated_pmf_near_quantum_prediction(self):
         counts, _ = run_experiment(plan(samples=1 << 19, reps=2, seed=21))

@@ -54,13 +54,6 @@ class TestPmfConstruction:
         p = pmf2_from_counts(counts(1, 1), counts(1, 1))
         assert all(abs(p[k] - 0.25) < 1e-15 for k in np.ndindex(2, 2))
 
-    def test_pmf2_asymmetric(self):
-        p = pmf2_from_counts(counts(3, 1), counts(0, 0, n_herald=5))
-        assert p[0, 0] == 0.75
-        assert p[0, 1] == 0.25
-        assert p[1, 0] == 0.0
-        assert p[1, 1] == 0.0
-
     def test_layout_index_0_is_plus(self):
         # Row 0 is the q_i = + context, column 0 its n_plus: cells by position.
         p = pmf2_from_counts(counts(3, 1), counts(0, 0, n_herald=5))
