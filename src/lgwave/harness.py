@@ -151,15 +151,19 @@ def _tally(n_total: int, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.n
 
     d1 has shape (n,); d2 and d3 have shape (k, n) for k contexts
     evaluated on the same draws, one context per row.  Every count is gated
-    on d1, so rows left out could not add to any of them.
+    on d1, so rows left out could not add to any of them.  n_plus and
+    n_minus are the coincidences at D2 and at D3 less the doubles.
     """
     coincident = d1 & d2
+    at_d2 = np.count_nonzero(coincident, axis=1)
+    at_d3 = np.count_nonzero(d1 & d3, axis=1)
+    double = np.count_nonzero(coincident & d3, axis=1)
     columns = (
         n_total,
         np.count_nonzero(d1),
-        np.count_nonzero(coincident & ~d3, axis=1),
-        np.count_nonzero(d1 & ~d2 & d3, axis=1),
-        np.count_nonzero(coincident & d3, axis=1),
+        at_d2 - double,
+        at_d3 - double,
+        double,
     )
     return np.stack(np.broadcast_arrays(*columns), axis=1, dtype=np.int64)
 
@@ -243,12 +247,16 @@ def _detections(
 
     Both paths decide with _clicks, so they agree on any BLAS.
 
-    Each point's detections of a chunk are one (1 + 2k, n) bool buffer, at
-    most 19 x 2^16 B = 1.19 MiB, not one (points, 1 + 2k, n) array for the
-    grid: numpy asks for transparent huge pages for an array of 4 MiB or
-    more, and on the shared pass, which fills only each row's heralded
-    prefix, a grid-wide array (26 MiB on a 22-point grid) is then backed by
-    mostly untouched 2 MiB pages."""
+    Memory: the generator holds one row block of draws, one chunk of
+    detection records per grid point and the kernel's O(ROW_BLOCK)
+    temporaries, never two blocks or two chunks of records.  Each block is
+    released before the next is drawn, and each chunk's records before the
+    next chunk's are allocated, so a consumer that drops the records it was
+    given before resuming (run_context does) holds no more.  A point's
+    records are one (1 + 2k, n) bool buffer, at most 19 x 2^16 B =
+    1.19 MiB, not a slice of one grid-wide array, which numpy would back
+    with transparent huge pages (4 MiB or more) that the shared pass,
+    filling only each buffer's heralded prefix, mostly leaves untouched."""
     plan = plans[0]
     networks = []
     for src in dict.fromkeys(p.source for p in plans):
@@ -269,7 +277,9 @@ def _detections(
                 for i, clicks in zip(points, _clicks(y, m, band, thresholds)):
                     det[i][:, filled[i] : filled[i] + len(y)] = clicks
                     filled[i] += len(y)
+            del x, y
         yield [(n, d[0, :f], d[1::2, :f], d[2::2, :f]) for d, f in zip(det, filled)]
+        del det
 
 
 def run_context(plans: list[ExperimentPlan], b: Bits, rep_index: int) -> np.ndarray:
@@ -281,6 +291,7 @@ def run_context(plans: list[ExperimentPlan], b: Bits, rep_index: int) -> np.ndar
     totals = np.zeros((len(plans), len(COUNT_COLUMNS)), dtype=np.int64)
     for dets in _detections(plans, key, rep_index, (b,), range(plan.n_chunks())):
         totals += np.concatenate([_tally(*d) for d in dets])
+        del dets  # before the generator allocates the next chunk's records
     return totals
 
 

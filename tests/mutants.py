@@ -15,6 +15,9 @@ row's tests plus the golden CLI runs (GOLDEN_TEST).  A row is
 - survived when one of them passes,
 - stale when its old text does not occur exactly once.
 
+Rows run in parallel, one per CPU this process may use, each in its own
+copy; their verdicts print in table order.
+
 First the rows' tests run on an unmutated copy and must all be collected
 and pass, so that a kill is the mutation's doing.  The exit status is 0
 only if every row is killed, and the CI job `mutants` fails otherwise.
@@ -27,9 +30,12 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Every row also runs the golden CLI runs, byte for byte.
 GOLDEN_TEST = "test_cli.py::TestRun::test_golden_counts"
@@ -51,6 +57,7 @@ REFERENCE_CLICKS = (
     "    return tuple((a.real**2 + a.imag**2).sum(axis=-1) > gamma * gamma for a in (a1, a2, a3))\n"
 )
 SAMPLER = "test_optics.py::TestSampleHidden::"
+PEAK = "test_harness.py::TestPeakMemory::"
 REDUCE_CASES = tuple(
     f"test_experiment.py::TestReduce::test_results_land_on_their_rep_and_context[{mode}]"
     for mode in ("independent-draws", "shared-draws")
@@ -238,9 +245,30 @@ MUTANTS = {
     ),
     "plus-without-coincidence": (
         "src/lgwave/harness.py",
-        "np.count_nonzero(coincident & ~d3, axis=1)",
-        "np.count_nonzero(~d3, axis=1)",
+        "at_d2 = np.count_nonzero(coincident, axis=1)",
+        "at_d2 = np.count_nonzero(d2, axis=1)",
         (GOLDEN_TEST,),
+    ),
+    # the kernel's memory bound: each release of a block or of records
+    "row-block-held-across-draws": (
+        "src/lgwave/harness.py",
+        "            del x, y\n",
+        "",
+        (PEAK + "test_run_context_holds_one_chunk_of_records_per_point",
+         PEAK + "test_shared_pass_holds_one_chunk_of_records"),
+    ),
+    "records-held-by-the-generator": (
+        "src/lgwave/harness.py",
+        "        del det\n",
+        "",
+        (PEAK + "test_run_context_holds_one_chunk_of_records_per_point",
+         PEAK + "test_shared_pass_holds_one_chunk_of_records"),
+    ),
+    "records-held-by-run-context": (
+        "src/lgwave/harness.py",
+        "        del dets  # before the generator allocates the next chunk's records\n",
+        "",
+        (PEAK + "test_run_context_holds_one_chunk_of_records_per_point",),
     ),
     "samples-zero-accepted": (
         "src/lgwave/harness.py",
@@ -432,6 +460,11 @@ def run_row(file: str, old: str, new: str, tests) -> tuple[str, str]:
     return "killed", f"{len(tests)} of {len(tests)} failed; {golden}"
 
 
+def timed_row(row) -> tuple[str, str, float]:
+    t0 = time.perf_counter()
+    return (*run_row(*row), time.perf_counter() - t0)
+
+
 def main(names: list[str]) -> int:
     unknown = sorted(set(names) - set(MUTANTS))
     if unknown:
@@ -450,11 +483,10 @@ def main(names: list[str]) -> int:
     print(f"unmutated copy: {len(tests)} tests pass ({time.perf_counter() - start:.1f} s)",
           flush=True)
     verdicts = []
-    for name, row in rows.items():
-        t0 = time.perf_counter()
-        verdict, detail = run_row(*row)
-        verdicts.append(verdict)
-        print(f"{verdict:8} {name:34} {detail} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for name, (verdict, detail, seconds) in zip(rows, pool.map(timed_row, rows.values())):
+            verdicts.append(verdict)
+            print(f"{verdict:8} {name:34} {detail} ({seconds:.1f} s)", flush=True)
     counts = ", ".join(f"{verdicts.count(v)} {v}" for v in ("killed", "survived", "stale"))
     print(f"{len(rows)} rows: {counts} in {time.perf_counter() - start:.1f} s")
     return 0 if verdicts.count("killed") == len(rows) else 1

@@ -326,6 +326,34 @@ class TestPeakMemory:
         peak = self.traced_peak(lambda: [None for _ in counterfactual_chunks([p], 0, chunks)])
         assert peak < self.CHUNK_OF_NORMALS
 
+    # The bound _detections states: one row block of draws and one chunk of
+    # detection records per grid point, plus the kernel's temporaries, which
+    # on these grids take less than another row block.  Holding a second
+    # row block or a second chunk of records breaks it.
+    ROW_BLOCK_OF_DRAWS = ROW_BLOCK * NORMALS_PER_REALIZATION * 8
+
+    def bound(self, points, contexts):
+        return points * (1 + 2 * contexts) * CHUNK + 2 * self.ROW_BLOCK_OF_DRAWS
+
+    def test_run_context_holds_one_chunk_of_records_per_point(self):
+        grid = [plan(samples=3 * CHUNK, r=r, gamma=gamma)
+                for gamma in (1.5, 2.0) for r in (0.3, 0.6, 0.9)]
+        peak = self.traced_peak(lambda: run_context(grid, OPEN, 0))
+        assert peak < self.bound(len(grid), 1)
+
+    def test_shared_pass_holds_one_chunk_of_records(self):
+        # At the headline point about 1% of rows are heralded, so the
+        # kernel decides few rows on the shared pass.
+        p = plan(samples=3 * CHUNK, mode=MODE_SHARED)
+
+        def drain():
+            # a consumer that drops each chunk's records before the next
+            for dets in counterfactual_chunks([p], 0, range(p.n_chunks())):
+                del dets
+
+        peak = self.traced_peak(drain)
+        assert peak < self.bound(1, len(CONTEXTS))
+
     def test_shared_pass_buffers_stay_below_the_huge_page_threshold(self):
         # numpy asks for transparent huge pages for every array of 4 MiB or
         # more, so the shared pass, which fills only the heralded prefix of
