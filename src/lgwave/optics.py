@@ -136,32 +136,17 @@ def _block(n: int, a: np.ndarray, h: np.ndarray, b: Bits) -> np.ndarray:
     return a if b[n - 1] else SIGMA * _z(h, f"zp{n}")
 
 
-def stage1(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, b: Bits, optics: OpticalParams):
-    """First beam splitter, phase delay theta1 and blockers BB1/BB2."""
-    a2_out, a3_out = _split(a2, a3, optics.t1)
-    a3_out = np.exp(1j * optics.theta1) * a3_out
-    return _block(2, a2_out, h, b), _block(1, a3_out, h, b)
-
-
-def stage2(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, b: Bits, optics: OpticalParams):
-    """Second beam splitter, phase delay theta2 and blockers BB3/BB4."""
-    a2_out, a3_out = _split(a2, a3, optics.t2)
-    a2_out = np.exp(1j * optics.theta2) * a2_out
-    return _block(3, a2_out, h, b), _block(4, a3_out, h, b)
-
-
-def stage3(a2: np.ndarray, a3: np.ndarray, optics: OpticalParams):
-    """Final recombining beam splitter; no blockers, no noise."""
-    a2_out, a3_out = _split(a2, a3, optics.t3)
-    return a3_out, a2_out
-
-
 def propagate(a2: np.ndarray, a3: np.ndarray, h: np.ndarray, b: Bits, optics: OpticalParams):
-    """The interferometer in context b: the arms (a2, a3) through stage1,
-    stage2 and stage3, in that order, to the exits D2 and D3."""
-    a2, a3 = stage1(a2, a3, h, b, optics)
-    a2, a3 = stage2(a2, a3, h, b, optics)
-    return stage3(a2, a3, optics)
+    """The interferometer in context b: the arms (a2, a3) through each
+    element in the order light meets it, to the exits (D2, D3)."""
+    a2, a3 = _split(a2, a3, optics.t1)
+    a3 = np.exp(1j * optics.theta1) * a3
+    a2, a3 = _block(2, a2, h, b), _block(1, a3, h, b)
+    a2, a3 = _split(a2, a3, optics.t2)
+    a2 = np.exp(1j * optics.theta2) * a2
+    a2, a3 = _block(3, a2, h, b), _block(4, a3, h, b)
+    d3, d2 = _split(a2, a3, optics.t3)
+    return d2, d3
 
 
 def compile_network(

@@ -57,6 +57,10 @@ REFERENCE_CLICKS = (
     "    return tuple((a.real**2 + a.imag**2).sum(axis=-1) > gamma * gamma for a in (a1, a2, a3))\n"
 )
 SAMPLER = "test_optics.py::TestSampleHidden::"
+# The compiled path's z2 row against oracle.amplitudes, on every blocker
+# pattern, and which vacuum inputs reach its exits.
+Z2_ROW = "test_oracle.py::TestCompiledNetwork::test_z2_row_is_sigma_cosh_r_times_alpha"
+VACUUM_RULE = "test_oracle.py::TestCompiledNetwork::test_vacuum_reaches_the_exits_by_the_blocker_rule"
 PEAK = "test_harness.py::TestPeakMemory::"
 REDUCE_CASES = tuple(
     f"test_experiment.py::TestReduce::test_results_land_on_their_rep_and_context[{mode}]"
@@ -99,9 +103,8 @@ MUTANTS = {
     ),
     "stage3-d2-sqrt-t-r-swapped": (
         "src/lgwave/optics.py",
-        "    a2_out, a3_out = _split(a2, a3, optics.t3)\n    return a3_out, a2_out\n",
-        "    a2_out, a3_out = _split(a2, a3, optics.t3)\n"
-        "    return _split(a2, a3, 1.0 - optics.t3)[1], a2_out\n",
+        "    return d2, d3\n",
+        "    return _split(a2, a3, 1.0 - optics.t3)[1], d3\n",
         RATE_GATES,
     ),
     "beam-splitter-not-unitary": (
@@ -114,13 +117,62 @@ MUTANTS = {
         "src/lgwave/optics.py",
         'SIGMA * _z(h, f"zp{n}")',
         'SIGMA * _z(h, f"zp{3 if n == 1 else n}")',
-        ("test_oracle.py::TestCompiledNetwork::test_vacuum_reaches_the_exits_by_the_blocker_rule",),
+        (VACUUM_RULE,),
+    ),
+    "blocker-leaks-its-arm": (
+        "src/lgwave/optics.py",
+        'else SIGMA * _z(h, f"zp{n}")',
+        'else a + SIGMA * _z(h, f"zp{n}")',
+        (Z2_ROW, VACUUM_RULE),
     ),
     "oracle-path-sign-flipped": (
         "src/lgwave/oracle.py",
         "        - b1 * b3 * e1 * e2 * np.sqrt(t1 * t2 * t3)\n",
         "        + b1 * b3 * e1 * e2 * np.sqrt(t1 * t2 * t3)\n",
         ("test_acceptance.py::test_06_oracle_exactness",),
+    ),
+    # the optical path: each element of propagate's walk, against the oracle
+    "theta1-on-arm-2": (
+        "src/lgwave/optics.py",
+        "    a3 = np.exp(1j * optics.theta1) * a3\n",
+        "    a2 = np.exp(1j * optics.theta1) * a2\n",
+        (Z2_ROW,),
+    ),
+    "theta2-on-arm-3": (
+        "src/lgwave/optics.py",
+        "    a2 = np.exp(1j * optics.theta2) * a2\n",
+        "    a3 = np.exp(1j * optics.theta2) * a3\n",
+        (Z2_ROW,),
+    ),
+    "bb1-bb2-swapped": (
+        "src/lgwave/optics.py",
+        "_block(2, a2, h, b), _block(1, a3, h, b)",
+        "_block(1, a2, h, b), _block(2, a3, h, b)",
+        (Z2_ROW,),
+    ),
+    "bb3-bb4-swapped": (
+        "src/lgwave/optics.py",
+        "_block(3, a2, h, b), _block(4, a3, h, b)",
+        "_block(4, a2, h, b), _block(3, a3, h, b)",
+        (Z2_ROW,),
+    ),
+    "first-splitter-at-t2": (
+        "src/lgwave/optics.py",
+        "_split(a2, a3, optics.t1)",
+        "_split(a2, a3, optics.t2)",
+        (Z2_ROW,),
+    ),
+    "second-splitter-at-t1": (
+        "src/lgwave/optics.py",
+        "_split(a2, a3, optics.t2)",
+        "_split(a2, a3, optics.t1)",
+        (Z2_ROW,),
+    ),
+    "exits-unswapped": (
+        "src/lgwave/optics.py",
+        "    d3, d2 = _split(a2, a3, optics.t3)\n",
+        "    d2, d3 = _split(a2, a3, optics.t3)\n",
+        (Z2_ROW,),
     ),
     # the sampler: 28 normals per row, times SIGMA, read in stream order
     "sample-hidden-flat": (
@@ -262,7 +314,8 @@ MUTANTS = {
         "        del det\n",
         "",
         (PEAK + "test_run_context_holds_one_chunk_of_records_per_point",
-         PEAK + "test_shared_pass_holds_one_chunk_of_records"),
+         PEAK + "test_shared_pass_holds_one_chunk_of_records",
+         PEAK + "test_shared_pass_temporaries_at_a_high_herald_rate"),
     ),
     "records-held-by-run-context": (
         "src/lgwave/harness.py",

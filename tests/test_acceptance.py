@@ -21,7 +21,7 @@ from classical_reference import Z_MAX, count_z
 from lgwave.experiment import run_experiment, run_kw_only
 from lgwave.harness import ExperimentPlan
 from lgwave.optics import OpticalParams, SourceParams, sample_hidden, SIGMA
-from lgwave.optics import stage1, stage2, stage3
+from lgwave.optics import _split, propagate
 from lgwave.oracle import predicted_pmfs, predicted_stats, type_weight_sums
 from lgwave.stats import marginal_lg
 
@@ -171,14 +171,13 @@ def test_10_physics_micro_oracles():
         theta1=rng.uniform(0, 2 * np.pi), theta2=rng.uniform(0, 2 * np.pi),
     )
     p_in = (np.abs(a2) ** 2 + np.abs(a3) ** 2).sum(axis=1)
-    unitary_ok = True
-    for stage in (lambda x, y: stage1(x, y, h, b, optics),
-                  lambda x, y: stage2(x, y, h, b, optics),
-                  lambda x, y: stage3(x, y, optics)):
-        o2, o3 = stage(a2, a3)
-        unitary_ok = unitary_ok and np.allclose(
-            (np.abs(o2) ** 2 + np.abs(o3) ** 2).sum(axis=1), p_in, rtol=1e-12, atol=1e-12
-        )
+    # each beam splitter alone, then the whole open path with its phases
+    outputs = [_split(a2, a3, t) for t in (optics.t1, optics.t2, optics.t3)]
+    outputs.append(propagate(a2, a3, h, b, optics))
+    unitary_ok = all(
+        np.allclose((np.abs(o2) ** 2 + np.abs(o3) ** 2).sum(axis=1), p_in, rtol=1e-12, atol=1e-12)
+        for o2, o3 in outputs
+    )
 
     r = 0.3
     n = 1_000_000

@@ -328,12 +328,12 @@ class TestPeakMemory:
 
     # The bound _detections states: one row block of draws and one chunk of
     # detection records per grid point, plus the kernel's temporaries, which
-    # on these grids take less than another row block.  Holding a second
-    # row block or a second chunk of records breaks it.
+    # take less than another row block unless most rows are heralded.
+    # Holding a second row block or a second chunk of records breaks it.
     ROW_BLOCK_OF_DRAWS = ROW_BLOCK * NORMALS_PER_REALIZATION * 8
 
-    def bound(self, points, contexts):
-        return points * (1 + 2 * contexts) * CHUNK + 2 * self.ROW_BLOCK_OF_DRAWS
+    def bound(self, points, contexts, temporaries=ROW_BLOCK_OF_DRAWS):
+        return points * (1 + 2 * contexts) * CHUNK + self.ROW_BLOCK_OF_DRAWS + temporaries
 
     def test_run_context_holds_one_chunk_of_records_per_point(self):
         grid = [plan(samples=3 * CHUNK, r=r, gamma=gamma)
@@ -341,18 +341,31 @@ class TestPeakMemory:
         peak = self.traced_peak(lambda: run_context(grid, OPEN, 0))
         assert peak < self.bound(len(grid), 1)
 
+    def shared_peak(self, grid):
+        def drain():
+            # a consumer that drops each chunk's records before the next
+            for dets in counterfactual_chunks(grid, 0, range(grid[0].n_chunks())):
+                del dets
+
+        return self.traced_peak(drain)
+
     def test_shared_pass_holds_one_chunk_of_records(self):
         # At the headline point about 1% of rows are heralded, so the
         # kernel decides few rows on the shared pass.
-        p = plan(samples=3 * CHUNK, mode=MODE_SHARED)
-
-        def drain():
-            # a consumer that drops each chunk's records before the next
-            for dets in counterfactual_chunks([p], 0, range(p.n_chunks())):
-                del dets
-
-        peak = self.traced_peak(drain)
+        peak = self.shared_peak([plan(samples=3 * CHUNK, mode=MODE_SHARED)])
         assert peak < self.bound(1, len(CONTEXTS))
+
+    def test_shared_pass_temporaries_at_a_high_herald_rate(self):
+        # At r 0.9, gamma 1.5 about 57% of rows pass the herald prefilter.
+        # Each row the shared pass decides holds its 28-real copy, its
+        # 4 + 8k reals of amplitude and two 1 + 2k arrays of power (at most
+        # two gammas per r), so a block's temporaries reach 2048 x 1,136 B,
+        # five row blocks of draws, when every row passes.
+        k = len(CONTEXTS)
+        grid = [plan(samples=3 * CHUNK, mode=MODE_SHARED, r=r, gamma=gamma)
+                for gamma in (1.5, 2.0) for r in (0.3, 0.6, 0.9)]
+        temporaries = ROW_BLOCK * (NORMALS_PER_REALIZATION + 4 + 8 * k + 2 * (1 + 2 * k)) * 8
+        assert self.shared_peak(grid) < self.bound(len(grid), k, temporaries)
 
     def test_shared_pass_buffers_stay_below_the_huge_page_threshold(self):
         # numpy asks for transparent huge pages for every array of 4 MiB or

@@ -15,9 +15,6 @@ from lgwave.optics import (
     _z,
     sample_hidden,
     source_output,
-    stage1,
-    stage2,
-    stage3,
 )
 
 
@@ -84,67 +81,6 @@ class TestSourceOutput:
         for r in (np.nextafter(R_MAX, np.inf), 356, 1000):
             with pytest.raises(ValueError, match="r must"):
                 SourceParams(r=r)
-
-
-OPEN = (1, 1, 1, 1)
-
-
-class TestStages:
-    def test_stage1_open(self):
-        h = make_state()
-        a2 = np.array([1.0, 0.0], dtype=complex)
-        a3 = np.zeros(2, dtype=complex)
-        out2, out3 = stage1(a2, a3, h, OPEN, OpticalParams(t1=0.5, theta1=0.0))
-        np.testing.assert_allclose(out2, [np.sqrt(0.5), 0])
-        np.testing.assert_allclose(out3, [np.sqrt(0.5), 0])
-
-    def test_stage1_blocked_arm_is_vacuum(self):
-        zp2 = np.array([2.0, -1j])
-        h = make_state(zp2=zp2)
-        a2 = np.array([5.0, 5.0], dtype=complex)
-        a3 = np.array([-3.0, 1.0], dtype=complex)
-        out2, _ = stage1(a2, a3, h, (1, 0, 1, 1), OpticalParams())
-        np.testing.assert_allclose(out2, SIGMA * zp2)
-
-    def test_stage2_open(self):
-        h = make_state()
-        a2 = np.array([1.0, 0.0], dtype=complex)
-        a3 = np.zeros(2, dtype=complex)
-        out2, out3 = stage2(a2, a3, h, OPEN, OpticalParams(t2=0.75, theta2=0.0))
-        np.testing.assert_allclose(out2, [0.5, 0])
-        np.testing.assert_allclose(out3, [np.sqrt(0.75), 0])
-
-    def test_stage2_blocked_arm_is_vacuum(self):
-        zp4 = np.array([1.0, 1.0], dtype=complex)
-        h = make_state(zp4=zp4)
-        a2 = np.array([5.0, 5.0], dtype=complex)
-        a3 = np.array([-3.0, 1.0], dtype=complex)
-        _, out3 = stage2(a2, a3, h, (1, 1, 1, 0), OpticalParams())
-        np.testing.assert_allclose(out3, SIGMA * zp4)
-
-    def test_stage3_full_transmission(self):
-        a2 = np.array([1.0, 2j])
-        a3 = np.array([3.0, -1j])
-        out2, out3 = stage3(a2, a3, OpticalParams(t3=1.0))
-        np.testing.assert_allclose(out2, a2)
-        np.testing.assert_allclose(out3, -a3)
-
-    def test_stage3_example(self):
-        a2 = np.array([1.0, 0.0], dtype=complex)
-        a3 = np.array([1.0, 0.0], dtype=complex)
-        out2, out3 = stage3(a2, a3, OpticalParams(t3=0.75))
-        np.testing.assert_allclose(out2, [np.sqrt(0.75) + 0.5, 0])
-        np.testing.assert_allclose(out3, [0.5 - np.sqrt(0.75), 0])
-
-    def test_blocked_output_independent_of_input(self):
-        n = 100_000
-        g = rng(8)
-        h = sample_hidden(g, n)
-        a2 = g.standard_normal((n, 2)) + 1j * g.standard_normal((n, 2))
-        a3 = np.zeros_like(a2)
-        out2, _ = stage1(a2, a3, h, (1, 0, 1, 1), OpticalParams())
-        corr = np.mean(out2[:, 0] * np.conj(a2[:, 0]))
-        assert abs(corr) < 3 / np.sqrt(n)
 
 
 class TestParams:
