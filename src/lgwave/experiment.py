@@ -115,7 +115,9 @@ def _reduce(plans: list[ExperimentPlan], efficiency: bool) -> list:
 
     The task list is one run_context per (rep, context) on independent
     draws, then one _shared_chunk_task per (rep, chunk) on shared draws or
-    when `efficiency` is set; both rep-major, so the order is fixed.
+    when `efficiency` is set; both rep-major, so the order is fixed.  The
+    plan's draw mode picks the tasks here and nowhere else: run_context
+    always draws its own context's stream.
     """
     plan = plans[0]
     shared = plan.mode == MODE_SHARED

@@ -6,11 +6,13 @@ CONTEXTS.  The optics are one OpticalParams, the plan's, shared by every
 context and passed to the kernel once.
 
 Stream layout (reproducible across machines and worker counts), all of it
-defined here: realizations are processed in fixed chunks of CHUNK; chunk c
-of repetition `rep` for context b uses the Philox generator seeded by
-SeedSequence([seed, stream_key(b), rep, c]), where stream_key packs the bits
-into 0..15.  In shared-draw mode every context sees the same hidden states,
-obtained with the reserved stream key SHARED_STREAM_KEY.
+defined here: realizations are processed in fixed chunks of CHUNK, and a
+stream key names a task's draws: chunk c of repetition `rep` of key k uses
+the Philox generator seeded by SeedSequence([seed, k, rep, c]).  A context
+b's own stream has key stream_key(b), which packs the bits into 0..15; the
+shared pass, which evaluates every context on the same hidden states, has
+the reserved key SHARED_STREAM_KEY.  Which tasks run, and so which streams
+are read, experiment._reduce picks by the plan's draw mode.
 Streams depend on neither r nor gamma, so one draw of a chunk serves every
 (r, gamma) point of a sweep grid.  A chunk's generator is read in
 consecutive ROW_BLOCK slices, which give the same numbers, in the same
@@ -284,12 +286,11 @@ def _detections(
 
 def run_context(plans: list[ExperimentPlan], b: Bits, rep_index: int) -> np.ndarray:
     """Tally context b over the samples of one repetition at every grid
-    point in `plans`, drawing each chunk once; one count row per point,
-    shape (points, 5)."""
+    point in `plans`, on the context's own stream, stream_key(b), drawing
+    each chunk once; one count row per point, shape (points, 5)."""
     plan = plans[0]
-    key = SHARED_STREAM_KEY if plan.mode == MODE_SHARED else stream_key(b)
     totals = np.zeros((len(plans), len(COUNT_COLUMNS)), dtype=np.int64)
-    for dets in _detections(plans, key, rep_index, (b,), range(plan.n_chunks())):
+    for dets in _detections(plans, stream_key(b), rep_index, (b,), range(plan.n_chunks())):
         totals += np.concatenate([_tally(*d) for d in dets])
         del dets  # before the generator allocates the next chunk's records
     return totals

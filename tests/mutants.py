@@ -43,7 +43,6 @@ GOLDEN_TEST = "test_cli.py::TestRun::test_golden_counts"
 # The closed-form rate gates: heralds and exit clicks, |z| <= 5 per row.
 RATE_GATES = (
     "test_acceptance.py::test_11_herald_rate",
-    "test_experiment.py::TestHeraldRate::test_shared_draws_run",
     "test_experiment.py::TestHeraldRate::test_grid_through_reduce",
 )
 SAME_LAW = (
@@ -62,6 +61,9 @@ SAMPLER = "test_optics.py::TestSampleHidden::"
 Z2_ROW = "test_oracle.py::TestCompiledNetwork::test_z2_row_is_sigma_cosh_r_times_alpha"
 VACUUM_RULE = "test_oracle.py::TestCompiledNetwork::test_vacuum_reaches_the_exits_by_the_blocker_rule"
 PEAK = "test_harness.py::TestPeakMemory::"
+# The golden runs of both draw modes at 1, 2 and 8 workers.
+DETERMINISM = "test_acceptance.py::test_09_determinism_across_workers"
+LAMBDA_SETS = "test_stats.py::TestLambdaSets::test_update_matches_reference_sets[0-500]"
 REDUCE_CASES = tuple(
     f"test_experiment.py::TestReduce::test_results_land_on_their_rep_and_context[{mode}]"
     for mode in ("independent-draws", "shared-draws")
@@ -129,6 +131,12 @@ MUTANTS = {
         "src/lgwave/oracle.py",
         "        - b1 * b3 * e1 * e2 * np.sqrt(t1 * t2 * t3)\n",
         "        + b1 * b3 * e1 * e2 * np.sqrt(t1 * t2 * t3)\n",
+        ("test_acceptance.py::test_06_oracle_exactness",),
+    ),
+    "oracle-type-sums-of-plus-exits": (
+        "src/lgwave/oracle.py",
+        "s = (w[:, 0] + w[:, 1]).tolist()",
+        "s = w[:, 0].tolist()",
         ("test_acceptance.py::test_06_oracle_exactness",),
     ),
     # the optical path: each element of propagate's walk, against the oracle
@@ -232,6 +240,19 @@ MUTANTS = {
         REFERENCE_CLICKS.replace("(a1, a2, a3)", "(a2, a2, a3)"),
         (KERNEL_VS_REFERENCE + "test_counterfactual_detections[2]",),
     ),
+    # the shared stream: the shared pass reads it, and only the shared pass
+    "shared-pass-stream-key-shifted": (
+        "src/lgwave/harness.py",
+        "return _detections(plans, SHARED_STREAM_KEY, rep_index, CONTEXTS, chunk_indices)",
+        "return _detections(plans, SHARED_STREAM_KEY + 1, rep_index, CONTEXTS, chunk_indices)",
+        (KERNEL_VS_REFERENCE + "test_counterfactual_detections[2]",),
+    ),
+    "shared-stream-10pct-wide": (
+        "src/lgwave/harness.py",
+        "x = sample_hidden(rng, min(ROW_BLOCK, n - lo))\n",
+        "x = sample_hidden(rng, min(ROW_BLOCK, n - lo)) * (1.1 if key == SHARED_STREAM_KEY else 1)\n",
+        RATE_GATES[1:],
+    ),
     # exact decisions and the two kernel paths
     "clicks-float-only": (
         "src/lgwave/harness.py",
@@ -256,6 +277,12 @@ MUTANTS = {
         "thresholds.max() - band[0]",
         (KERNEL_VS_REFERENCE + "test_counterfactual_detections[grid-3]",),
     ),
+    "prefilter-a-unit-high": (
+        "src/lgwave/harness.py",
+        "_powers(x, m[:, :4])[:, 0] >= cut]",
+        "_powers(x, m[:, :4])[:, 0] >= cut + 1]",
+        RATE_GATES[1:],
+    ),
     "prefilter-skipped-on-first-block": (
         "src/lgwave/harness.py",
         "if len(contexts) > 1 else x",
@@ -270,6 +297,16 @@ MUTANTS = {
         "np.random.SeedSequence([self.seed, stream_key, rep_index, chunk_index])",
         "np.random.SeedSequence()",
         (GOLDEN_TEST,),
+    ),
+    # streams that depend on LGWAVE_WORKERS unless it is 1 or unset, so the
+    # golden runs pass and only runs at other worker counts differ
+    "streams-keyed-by-worker-count": (
+        "src/lgwave/harness.py",
+        "        ss = np.random.SeedSequence([self.seed, stream_key, rep_index, chunk_index])\n",
+        '        workers = __import__("os").environ.get("LGWAVE_WORKERS", "1")\n'
+        "        ss = np.random.SeedSequence([self.seed, stream_key, rep_index, chunk_index]\n"
+        '                                    + [int(workers)] * (workers != "1"))\n',
+        (DETERMINISM,),
     ),
     "streams-rep-blind": (
         "src/lgwave/harness.py",
@@ -350,6 +387,30 @@ MUTANTS = {
         "valid = d1 & (d2 | d3)",
         SAME_LAW,
     ),
+    "heralds-read-from-n-plus": (
+        "src/lgwave/stats.py",
+        "nh = int(self.counts[0, N_HERALD])  # every context sees the same heralds",
+        "nh = int(self.counts[0, N_PLUS])",
+        (LAMBDA_SETS,),
+    ),
+    "bound-of-plus-clicks-only": (
+        "src/lgwave/stats.py",
+        "coinc = (self.counts[:, N_PLUS] + self.counts[:, N_MINUS]).tolist()",
+        "coinc = self.counts[:, N_PLUS].tolist()",
+        (LAMBDA_SETS,),
+    ),
+    "w-decomposition-marginal-negated": (
+        "src/lgwave/stats.py",
+        '"w_marginal": w_statistic(m13, m23, p12),',
+        '"w_marginal": -w_statistic(m13, m23, p12),',
+        ("test_experiment.py::TestRunExperiment::test_w_decomposition_over_bounds_is_w",),
+    ),
+    "pmf2-plus-context-exits-swapped": (
+        "src/lgwave/stats.py",
+        "np.stack([counts_plus_ctx[[N_PLUS, N_MINUS]],",
+        "np.stack([counts_plus_ctx[[N_MINUS, N_PLUS]],",
+        ("test_acceptance.py::test_01_k_reproduction",),
+    ),
     "lambda-pairs-wrong": (
         "src/lgwave/stats.py",
         "combinations(lam[1:], 2)",
@@ -369,6 +430,12 @@ MUTANTS = {
         ("test_acceptance.py::test_07_marginal_identity_suite",),
     ),
     # the driver's task list and its reduction
+    "summary-std-population": (
+        "src/lgwave/experiment.py",
+        "arr.std(ddof=1)",
+        "arr.std(ddof=0)",
+        (GOLDEN_TEST,),
+    ),
     "herald-ordering-strict": (
         "src/lgwave/experiment.py",
         "(n_herald > n_total)",
@@ -389,6 +456,13 @@ MUTANTS = {
         "point_accs[j // len(chunks)]",
         "point_accs[(j // len(chunks) + 1) % plan.reps]",
         REDUCE_CASES,
+    ),
+    # a reduction that depends on LGWAVE_WORKERS unless it is 1 or unset
+    "shared-chunks-to-rep-0-on-many-workers": (
+        "src/lgwave/experiment.py",
+        "point_accs[j // len(chunks)]",
+        'point_accs[j // len(chunks) if os.environ.get("LGWAVE_WORKERS", "1") == "1" else 0]',
+        (DETERMINISM,),
     ),
     "shared-chunk-rep-modulo": (
         "src/lgwave/experiment.py",

@@ -9,15 +9,13 @@ Two profiles:
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
-import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from classical_reference import Z_MAX, count_z
+from test_cli import check_golden
 from lgwave.experiment import run_experiment, run_kw_only
 from lgwave.harness import ExperimentPlan
 from lgwave.optics import OpticalParams, SourceParams, sample_hidden, SIGMA
@@ -139,24 +137,24 @@ def test_08_sweep_trends():
     )
 
 
+# The golden runs of both draw modes, of run and sweep, and of a partial
+# last row block.
+DETERMINISM_ROWS = ("counts", "summary", "counts-shared", "summary-shared", "counts-partial",
+                    "sweep", "sweep-shared")
+
+
 def test_09_determinism_across_workers(tmp_path):
-    outputs = []
+    # every row writes its golden bytes at each worker count
+    failed = []
     for workers in (1, 2, 8):
-        out = tmp_path / f"w{workers}"
-        # the child imports lgwave from wherever this process found it
-        env = dict(os.environ, LGWAVE_WORKERS=str(workers), PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lgwave.cli", "run",
-             "--samples", "8192", "--reps", "2", "--seed", "13",
-             "--gamma", "1.2", "--out", str(out)],
-            env=env, capture_output=True,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        summary = json.loads((out / "summary.json").read_text())
-        summary["config"]["out"] = ""
-        outputs.append((json.dumps(summary, sort_keys=True), (out / "counts.csv").read_bytes()))
-    ok = all(o == outputs[0] for o in outputs[1:])
-    check("9 determinism across workers", ok, "workers 1/2/8 identical outputs")
+        (out := tmp_path / f"w{workers}").mkdir()
+        try:
+            check_golden(None, DETERMINISM_ROWS, out, env={"LGWAVE_WORKERS": str(workers)})
+        except AssertionError as e:
+            failed.append(f"workers={workers}: {str(e).splitlines()[0]}")
+    rows = ", ".join(DETERMINISM_ROWS)
+    detail = "; ".join(failed) or f"golden bytes of {rows} at workers 1/2/8"
+    check("9 determinism across workers", not failed, detail)
 
 
 def test_10_physics_micro_oracles():

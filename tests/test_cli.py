@@ -91,17 +91,18 @@ INSTALLED = ([LGWAVE], {k: v for k, v in os.environ.items() if k != "PYTHONPATH"
 needs_lgwave = pytest.mark.skipif(LGWAVE is None, reason="no lgwave script on PATH")
 
 
-def check_golden(script, names, tmp_path):
-    """Each golden run of `names` exits 0 through run_cli(script), silent on stderr,
-    and writes its output byte for byte as its golden file holds it."""
+def check_golden(script, names, tmp_path, env={}):
+    """Each golden run of `names` exits 0 through run_cli(script), with env
+    added to the environment, silent on stderr, and writes its output byte
+    for byte as its golden file holds it."""
     for name in names:
         argv, config, golden = GOLDEN[name]
         (cwd := tmp_path / name).mkdir()
         if golden is None:
-            assert run_cli(script, cwd, argv, config) == (0, ""), name
+            assert run_cli(script, cwd, argv, config, env) == (0, ""), name
             continue
         stem = Path(golden).stem
-        assert run_cli(script, cwd, [*argv, "--out", stem], config) == (0, ""), name
+        assert run_cli(script, cwd, [*argv, "--out", stem], config, env) == (0, ""), name
         output = cwd / stem / (stem.split("_")[1] + Path(golden).suffix)
         assert output.read_bytes() == (DATA / golden).read_bytes(), name
 
@@ -115,17 +116,6 @@ class TestContexts:
 
 
 class TestOracle:
-    def test_ideal_predictions(self, capsys):
-        assert main(["oracle"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["stats"]["K"] == pytest.approx(1.5, abs=1e-12)
-        assert doc["pmf_t1t2t3"]["+--"] == pytest.approx(0.09375, abs=1e-12)
-        assert doc["params"] == {
-            "t1": 0.5, "t2": 0.75, "t3": 0.75, "theta1": 0.0, "theta2": 0.0,
-        }
-        for v in doc["type_weight_sums"].values():
-            assert v == pytest.approx(1.0, abs=1e-12)
-
     def test_out_from_config_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["oracle"]) == 0

@@ -16,11 +16,6 @@ from lgwave.harness import (
     CONTEXTS,
     COUNT_COLUMNS,
     GROUPS,
-    MODE_INDEPENDENT,
-    MODE_SHARED,
-    N_HERALD,
-    N_MINUS,
-    N_PLUS,
     ROW_BLOCK,
     SHARED_STREAM_KEY,
     STANDARD_CONTEXT_TABLE,
@@ -46,10 +41,9 @@ from lgwave.optics import (
 )
 
 
-def plan(samples=1 << 14, reps=1, mode=MODE_INDEPENDENT, seed=0, r=0.3, gamma=2.0):
+def plan(samples=1 << 14, reps=1, seed=0, r=0.3, gamma=2.0):
     return ExperimentPlan(
-        source=SourceParams(r=r), gamma=gamma, samples=samples, reps=reps,
-        mode=mode, seed=seed,
+        source=SourceParams(r=r), gamma=gamma, samples=samples, reps=reps, seed=seed,
     )
 
 
@@ -170,30 +164,9 @@ class TestRunContext:
         assert c.tolist() == [n, n, 0, 0, n]
 
 
-class TestCounterfactual:
-    def test_counts_match_run_context_on_shared_streams(self):
-        p = plan(samples=1 << 14, mode=MODE_SHARED)
-        chunks = counterfactual_chunks([p], 0, range(p.n_chunks()))
-        totals = sum(_tally(*d) for (d,) in chunks)
-        assert totals.shape == (len(STANDARD_CONTEXT_TABLE), len(COUNT_COLUMNS))
-        for b, expected in zip(CONTEXTS, totals):
-            assert np.array_equal(run_context([p], b, 0), [expected])
-
-    def test_modes_statistically_compatible(self):
-        # z-score between coincidence rates of the two draw modes < 4
-        n = 1 << 17
-        (c_ind,) = run_context([plan(samples=n, mode=MODE_INDEPENDENT, seed=5)], OPEN, 0)
-        (c_sh,) = run_context([plan(samples=n, mode=MODE_SHARED, seed=5)], OPEN, 0)
-        for col in (N_HERALD, N_PLUS, N_MINUS):
-            x, y = int(c_ind[col]), int(c_sh[col])
-            p_hat = (x + y) / (2 * n)
-            se = np.sqrt(2 * p_hat * (1 - p_hat) * n)
-            assert abs(x - y) < 4 * se
-
-
 def random_plan(i):
-    """Draw i of the kernel's differential test: random optics, r, gamma,
-    mode and seed, with sizes that are not multiples of the kernel's row
+    """Draw i of the kernel's differential test: random optics, r, gamma
+    and seed, with sizes that are not multiples of the kernel's row
     blocks, and one that spans a partial chunk."""
     g = np.random.default_rng(1000 + i)
     optics = OpticalParams(
@@ -203,13 +176,13 @@ def random_plan(i):
     return ExperimentPlan(
         source=SourceParams(r=g.uniform(0, 1.2)), optics=optics,
         gamma=g.uniform(0.5, 2.5), samples=(1, 63, 1000, 4099, CHUNK + 37)[i % 5],
-        reps=1, mode=(MODE_INDEPENDENT, MODE_SHARED)[i % 2], seed=int(g.integers(1 << 30)),
+        reps=1, seed=int(g.integers(1 << 30)),
     )
 
 
 def random_grid(i):
     """Grid i of the fused kernel's differential test: random_plan(i)'s
-    optics, mode and seed, 2 reps, samples 1, 4099 or CHUNK+37, and 2-4
+    optics and seed, 2 reps, samples 1, 4099 or CHUNK+37, and 2-4
     (r, gamma) points.  Between them the templates repeat r and list it
     unsorted, repeat gamma and whole points, use gamma = 0, and leave out
     points of the full r x gamma product."""
@@ -272,10 +245,9 @@ class TestKernelMatchesReference:
     def test_run_context_counts(self, i):
         p = random_plan(i)
         b = CONTEXTS[i % 9]
-        key = SHARED_STREAM_KEY if p.mode == MODE_SHARED else stream_key(b)
         expected = np.zeros(len(COUNT_COLUMNS), dtype=np.int64)
         for c in range(p.n_chunks()):
-            h = sample_hidden(p.chunk_rng(key, 0, c), p.chunk_size(c))
+            h = sample_hidden(p.chunk_rng(stream_key(b), 0, c), p.chunk_size(c))
             e1, e2, e3 = evaluate_context(h, p.source, b, p.optics, p.gamma)
             (counts,) = _tally(len(h), e1, e2[None], e3[None])
             expected += counts
@@ -321,7 +293,7 @@ class TestPeakMemory:
         assert peak < self.CHUNK_OF_NORMALS
 
     def test_counterfactual_chunks_holds_no_chunk_of_normals(self):
-        p = plan(samples=2 * CHUNK, mode=MODE_SHARED)
+        p = plan(samples=2 * CHUNK)
         chunks = range(p.n_chunks())
         peak = self.traced_peak(lambda: [None for _ in counterfactual_chunks([p], 0, chunks)])
         assert peak < self.CHUNK_OF_NORMALS
@@ -352,7 +324,7 @@ class TestPeakMemory:
     def test_shared_pass_holds_one_chunk_of_records(self):
         # At the headline point about 1% of rows are heralded, so the
         # kernel decides few rows on the shared pass.
-        peak = self.shared_peak([plan(samples=3 * CHUNK, mode=MODE_SHARED)])
+        peak = self.shared_peak([plan(samples=3 * CHUNK)])
         assert peak < self.bound(1, len(CONTEXTS))
 
     def test_shared_pass_temporaries_at_a_high_herald_rate(self):
@@ -362,7 +334,7 @@ class TestPeakMemory:
         # two gammas per r), so a block's temporaries reach 2048 x 1,136 B,
         # five row blocks of draws, when every row passes.
         k = len(CONTEXTS)
-        grid = [plan(samples=3 * CHUNK, mode=MODE_SHARED, r=r, gamma=gamma)
+        grid = [plan(samples=3 * CHUNK, r=r, gamma=gamma)
                 for gamma in (1.5, 2.0) for r in (0.3, 0.6, 0.9)]
         temporaries = ROW_BLOCK * (NORMALS_PER_REALIZATION + 4 + 8 * k + 2 * (1 + 2 * k)) * 8
         assert self.shared_peak(grid) < self.bound(len(grid), k, temporaries)
@@ -372,7 +344,7 @@ class TestPeakMemory:
         # more, so the shared pass, which fills only the heralded prefix of
         # its buffers, keeps each under that: one grid-wide buffer for the
         # default 22-point sweep would hold 22 x 19 x 2^16 B = 26 MiB.
-        plans = [plan(samples=CHUNK, mode=MODE_SHARED, r=0.1 * i, gamma=gamma)
+        plans = [plan(samples=CHUNK, r=0.1 * i, gamma=gamma)
                  for gamma in (1.5, 2.0) for i in range(11)]
         (dets,) = counterfactual_chunks(plans, 0, range(1))
         assert len(dets) == 22
@@ -390,10 +362,9 @@ class TestRowBlockInvariance:
         """run_context's counts on GRID, and the per-chunk records of the
         shared pass, which decides only the rows its prefilter keeps."""
         counts = run_context(self.GRID, OPEN, 0)
-        shared = [replace(p, mode=MODE_SHARED) for p in self.GRID]
         records = [
             [(n, d1.tolist(), d2.tolist(), d3.tolist()) for n, d1, d2, d3 in dets]
-            for dets in counterfactual_chunks(shared, 0, range(shared[0].n_chunks()))
+            for dets in counterfactual_chunks(self.GRID, 0, range(self.GRID[0].n_chunks()))
         ]
         return counts.tolist(), records
 
@@ -410,7 +381,7 @@ class TestLargestSqueezing:
     def test_every_detector_fires_without_overflow(self):
         # at R_MAX every power is finite and far above gamma^2; an overflow
         # would raise here, where RuntimeWarnings are errors
-        p = plan(samples=4099, r=R_MAX, mode=MODE_SHARED)
+        p = plan(samples=4099, r=R_MAX)
         assert np.isfinite(compile_network(p.source, p.optics, CONTEXTS)).all()
         for ((n, d1, d2, d3),) in counterfactual_chunks([p], 0, range(p.n_chunks())):
             assert len(d1) == n and d1.all() and d2.all() and d3.all()
@@ -466,7 +437,7 @@ class TestExactDecisions:
         assert not evaluate_context(x, p.source, OPEN, p.optics, p.gamma)[0][0]
         monkeypatch.setattr(harness, "sample_hidden", lambda rng, n: x.copy())
         assert run_context([p], OPEN, 0).tolist() == [[1, 1, 0, 0, 0]]
-        ((n, d1, d2, d3),) = next(counterfactual_chunks([replace(p, mode=MODE_SHARED)], 0, range(1)))
+        ((n, d1, d2, d3),) = next(counterfactual_chunks([p], 0, range(1)))
         assert (n, d1.tolist()) == (1, [True])
 
     BAND_CASES = {
@@ -542,8 +513,8 @@ class TestBlasThreads:
 
 class TestPlanValidation:
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            plan(mode="bogus")
+        with pytest.raises(ValueError, match="unknown mode"):
+            ExperimentPlan(source=SourceParams(r=0.3), mode="bogus")
 
     @pytest.mark.parametrize("field", ["samples", "reps"])
     def test_bad_reps(self, field):
