@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("oracle", "closed-form quantum predictions", cmd_oracle),
     )
     for name, help, func in commands:
-        p = sub.add_parser(name, help=help)
+        # a flag answers only to its full name, as its config key does
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="flat JSON config file")
         for f in _command_settings(name):
             flag = "--" + f.name.replace("_", "-")

@@ -216,8 +216,9 @@ def _clicks(x: np.ndarray, m: np.ndarray, band: np.ndarray, thresholds: np.ndarr
     where the float power lies within the detector's band of it."""
     power = np.ascontiguousarray(_powers(x, m).T)
     t = thresholds[:, None, None]
-    clicks = power > t
-    near = np.abs(power - t) <= band[:, None]
+    clicks = power > t + band[:, None]
+    near = (power >= t - band[:, None]) & ~clicks
+    # near is almost always empty, and np.nonzero costs more than the rest of _clicks
     if near.any():
         for k, d, i in zip(*np.nonzero(near)):
             clicks[k, d, i] = _exact_power(x[i], m[:, 4 * d : 4 * d + 4]) > thresholds[k]

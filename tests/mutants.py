@@ -80,8 +80,8 @@ MUTANTS = {
     ),
     "exit-threshold-5pct-high": (
         "src/lgwave/harness.py",
-        "    clicks = power > t\n",
-        "    clicks = power > t * np.where(np.arange(len(power)) > 0, 1.05, 1.0)[:, None]\n",
+        "    t = thresholds[:, None, None]\n",
+        "    t = thresholds[:, None, None] * np.where(np.arange(len(power)) > 0, 1.05, 1.0)[:, None]\n",
         RATE_GATES[1:],
     ),
     "source-without-sigma": (
@@ -520,6 +520,18 @@ MUTANTS = {
         "all(isinstance(g, list) and g for g in",
         "all(isinstance(g, list) for g in",
         ("test_cli.py::test_invalid_input_exits_2[sweep-grid-empty]",),
+    ),
+    "flag-abbreviations-accepted": (
+        "src/lgwave/cli.py",
+        "help=help, allow_abbrev=False)",
+        "help=help)",
+        ("test_cli.py::TestSettingsTable::test_flag_answers_only_to_its_full_name",),
+    ),
+    "outputs-written-as-text": (
+        "src/lgwave/cli.py",
+        '    path.write_bytes(text.encode("utf-8"))\n',
+        '    path.write_text(text, encoding="utf-8")\n',
+        (GOLDEN_TEST,),
     ),
     "sweep-first-gamma-only": (
         "src/lgwave/cli.py",

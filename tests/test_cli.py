@@ -63,10 +63,16 @@ GOLDEN = {
 }
 
 
+def text_mode(*args, **kwargs):
+    # text mode would end each line with the platform's os.linesep
+    raise AssertionError("an output file was written in text mode")
+
+
 def run_cli(script, cwd, argv, config=None, env={}):
     """Run argv from directory cwd, with env added to the environment and,
     unless config is None, --config cfg.json holding that text: through
-    main in this process if script is None, else as the command line
+    main in this process if script is None, with Path.write_text raising so
+    that every output is written as bytes, else as the command line
     script[0] in a subprocess whose environment is script[1] plus env.
     Returns the exit status and stderr."""
     if config is not None:
@@ -79,13 +85,16 @@ def run_cli(script, cwd, argv, config=None, env={}):
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
         mp.chdir(cwd)
+        mp.setattr(Path, "write_text", text_mode)
         for name, value in env.items():
             mp.setenv(name, value)
         return main(argv), err.getvalue()
 
 
 # The lgwave script pip installs from [project.scripts], run without
-# PYTHONPATH so that it imports the installed package.
+# PYTHONPATH so that it imports the installed package.  It calls the same
+# main as the in-process runs, so it runs once per command and once per
+# input source (a flag, a config file, the environment).
 LGWAVE = shutil.which("lgwave")
 INSTALLED = ([LGWAVE], {k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
 needs_lgwave = pytest.mark.skipif(LGWAVE is None, reason="no lgwave script on PATH")
@@ -216,7 +225,7 @@ class TestRun:
 
 @needs_lgwave
 def test_golden_counts_installed(tmp_path):
-    check_golden(INSTALLED, GOLDEN, tmp_path)
+    check_golden(INSTALLED, ["counts", "sweep", "oracle", "contexts"], tmp_path)
 
 
 def numpy_blas():
@@ -237,15 +246,6 @@ def test_golden_counts_under_another_gemm_kernel(tmp_path):
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     check_golden(([sys.executable, "-m", "lgwave.cli"], env), ["counts-shared", "sweep"], tmp_path)
-
-
-def test_outputs_written_as_bytes(tmp_path, monkeypatch):
-    # text mode would end each line with the platform's os.linesep
-    def text_mode(*args, **kwargs):
-        raise AssertionError("an output file was written in text mode")
-
-    monkeypatch.setattr(Path, "write_text", text_mode)
-    check_golden(None, ["summary", "counts", "sweep", "oracle"], tmp_path)
 
 
 class TestSweep:
@@ -354,6 +354,17 @@ class TestSettingsTable:
         else:
             assert getattr(RunConfig(), f.name) == defaults[f.name]
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle"])
+    def test_flag_answers_only_to_its_full_name(self, command):
+        # argparse would otherwise take --sample 4096 as --samples, while the
+        # config key "sample" is unknown
+        flags = flags_of(command)
+        parser = build_parser()
+        for prefix in sorted({f[:n] for f in flags for n in range(3, len(f))} - flags):
+            with pytest.raises(SystemExit) as raised:
+                parser.parse_args([command, prefix, "1"])
+            assert raised.value.code == 2, prefix
+
     def test_commands_parse_only_config_and_setting_flags(self):
         for command in COMMANDS:
             settings = {flag(f) for f in fields(RunConfig) if command in commands_of(f)}
@@ -371,7 +382,7 @@ def bad(id, argv, names, config=None, env={}):
     return pytest.param(argv, config, env, names, id=id)
 
 
-INVALID = pytest.mark.parametrize("argv, config, env, names", [
+INVALID_ROWS = [
     bad("samples-zero", ["run", "--samples", "0", "--reps", "1"], "samples"),
     bad("negative-seed", ["run", "--seed", "-1", *SMALL], "seed"),
     bad("r-nan", ["run", "--r", "nan", *SMALL], "r"),
@@ -412,6 +423,11 @@ INVALID = pytest.mark.parametrize("argv, config, env, names", [
     bad("workers-not-integer", ["run", *SMALL], "LGWAVE_WORKERS", env={"LGWAVE_WORKERS": "abc"}),
     bad("workers-zero", ["run", *SMALL], "LGWAVE_WORKERS", env={"LGWAVE_WORKERS": "0"}),
     bad("workers-negative", ["run", *SMALL], "LGWAVE_WORKERS", env={"LGWAVE_WORKERS": "-3"}),
+]
+INVALID = pytest.mark.parametrize("argv, config, env, names", INVALID_ROWS)
+# The installed script's rows: a flag, a config file and the environment.
+INSTALLED_INVALID = pytest.mark.parametrize("argv, config, env, names", [
+    row for row in INVALID_ROWS if row.id in ("samples-zero", "config-unknown-key", "workers-zero")
 ])
 
 
@@ -430,10 +446,8 @@ def test_invalid_input_exits_2(argv, config, env, names, tmp_path):
 
 
 @needs_lgwave
-@INVALID
+@INSTALLED_INVALID
 def test_invalid_input_exits_2_installed(argv, config, env, names, tmp_path):
-    if "\x00" in "".join(argv):
-        pytest.skip("a process argument cannot hold a NUL byte")
     check_invalid(INSTALLED, argv, config, env, names, tmp_path)
 
 
@@ -483,23 +497,12 @@ CONFIG_DOCS = (
 @example(doc={"out": "/"})
 @example(doc={"out": 0})
 def test_any_config_document_exits_0_or_2(doc):
-    # a relative "out" writes oracle.json under the working directory, so the
-    # call runs inside the temporary directory (contextlib.chdir needs 3.11);
-    # an absolute one is moved under it, still absolute
+    # run_cli runs oracle inside the temporary directory, where a relative
+    # "out" writes oracle.json; an absolute one is moved under it, still absolute
     with tempfile.TemporaryDirectory() as tmp:
         if isinstance(doc, dict) and isinstance(doc.get("out"), str) and os.path.isabs(doc["out"]):
             doc = {**doc, "out": os.path.join(tmp, doc["out"].lstrip(os.sep))}
-        path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(doc))
-        cwd = os.getcwd()
-        os.chdir(tmp)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-                io.StringIO()
-            ):
-                assert main(["oracle", "--config", str(path)]) in (0, 2)
-        finally:
-            os.chdir(cwd)
+        assert run_cli(None, Path(tmp), ["oracle"], json.dumps(doc))[0] in (0, 2)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)

@@ -330,9 +330,9 @@ class TestPeakMemory:
     def test_shared_pass_temporaries_at_a_high_herald_rate(self):
         # At r 0.9, gamma 1.5 about 57% of rows pass the herald prefilter.
         # Each row the shared pass decides holds its 28-real copy, its
-        # 4 + 8k reals of amplitude and two 1 + 2k arrays of power (at most
-        # two gammas per r), so a block's temporaries reach 2048 x 1,136 B,
-        # five row blocks of draws, when every row passes.
+        # 4 + 8k reals of amplitude and two 1 + 2k arrays of power, so a
+        # block's temporaries reach 2048 x 1,136 B, five row blocks of
+        # draws, when every row passes.
         k = len(CONTEXTS)
         grid = [plan(samples=3 * CHUNK, r=r, gamma=gamma)
                 for gamma in (1.5, 2.0) for r in (0.3, 0.6, 0.9)]
