@@ -45,7 +45,7 @@ class InvalidConfig(ValueError):
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    return [float(x) for x in text.split(",")]
 
 
 # Per RunConfig annotation: the parser of a flag's text.

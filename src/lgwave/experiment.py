@@ -1,11 +1,11 @@
 """Full nine-context experiment: repetitions, parallel execution, summaries.
 
-One driver serves `run` and `sweep`.  It builds one ordered list of small
-tasks (one context-repetition, or one shared-draw chunk) and reduces their
-integer tallies by list position, so the result is bit-identical for any
-worker count.  Every task evaluates all grid points on its one draw of each
-chunk.  The worker count is the LGWAVE_WORKERS environment variable, else
-the number of CPUs this process may run on.
+One driver serves `run` and `sweep`.  It runs a list of small tasks (one
+context-repetition, or one shared-draw chunk) and adds each task's integer
+tallies into its repetition's as they arrive, so the result is
+bit-identical for any worker count.  Every task evaluates all grid points
+on its one draw of each chunk.  The worker count is the LGWAVE_WORKERS
+environment variable, else the number of CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -109,37 +109,36 @@ def _shared_chunk_task(plans: list[ExperimentPlan], rep: int, chunk: int) -> lis
 
 
 def _reduce(plans: list[ExperimentPlan], efficiency: bool) -> list:
-    """Run the driver's tasks on the thread pool and reduce their results by
-    position: [grid point] -> (its (reps, 9, 5) counts, one shared-pass
-    accumulator per rep: all zero if no shared pass ran; run_kw_only drops them).
+    """Run the driver's tasks on the thread pool and add each result into
+    its slot as it arrives: [grid point] -> (its (reps, 9, 5) counts, one
+    shared-pass accumulator per rep: all zero if no shared pass ran).
 
-    The task list is one run_context per (rep, context) on independent
-    draws, then one _shared_chunk_task per (rep, chunk) on shared draws or
-    when `efficiency` is set; both rep-major, so the order is fixed.  The
-    plan's draw mode picks the tasks here and nowhere else: run_context
-    always draws its own context's stream.
+    The tasks are one run_context per (rep, context) on independent draws,
+    and one _shared_chunk_task per (rep, chunk) on shared draws or when
+    `efficiency` is set.  A task's slot is its rep and context index, or its
+    rep alone.  The draw mode picks the tasks here and nowhere else.
     """
     plan = plans[0]
     shared = plan.mode == MODE_SHARED
     reps = range(plan.reps)
     contexts = () if shared else CONTEXTS
     chunks = range(plan.n_chunks()) if shared or efficiency else ()
-    tasks = [partial(run_context, plans, b, rep) for rep in reps for b in contexts]
-    tasks += [partial(_shared_chunk_task, plans, rep, c) for rep in reps for c in chunks]
-    with ThreadPoolExecutor(max_workers=default_workers()) as pool:
-        # when a result raises (a failed task or Ctrl-C), map cancels the queued tasks
-        results = list(pool.map(lambda task: task(), tasks))
-
-    rows = results[: plan.reps * len(contexts)]
+    tasks = [(rep, j, partial(run_context, plans, b, rep))
+             for rep in reps for j, b in enumerate(contexts)]
+    tasks += [(rep, None, partial(_shared_chunk_task, plans, rep, c)) for rep in reps for c in chunks]
+    counts = np.zeros((len(plans), plan.reps, len(CONTEXTS), len(COUNT_COLUMNS)), dtype=np.int64)
     accs = [[EfficiencyAccumulator() for _ in reps] for _ in plans]
-    for j, chunk_accs in enumerate(results[len(rows):]):
-        for point_accs, acc in zip(accs, chunk_accs):
-            point_accs[j // len(chunks)].merge(acc)
+    with ThreadPoolExecutor(max_workers=default_workers()) as pool:
+        # map cancels the queued tasks when a result raises (a failed task,
+        # Ctrl-C) or folding one does, which drops map's unnamed generator
+        for (rep, j, _), result in zip(tasks, pool.map(lambda task: task[2](), tasks)):
+            if j is None:
+                for point_accs, acc in zip(accs, result):
+                    point_accs[rep].merge(acc)
+            else:
+                counts[:, rep, j] = result
     if shared:
         counts = [np.stack([acc.counts for acc in point_accs]) for point_accs in accs]
-    else:
-        rows = np.array(rows)
-        counts = rows.reshape(plan.reps, -1, len(plans), len(COUNT_COLUMNS)).transpose(2, 0, 1, 3)
     return list(zip(counts, accs))
 
 

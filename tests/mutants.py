@@ -444,30 +444,39 @@ MUTANTS = {
     ),
     "futures-without-cancel": (
         "src/lgwave/experiment.py",
-        "results = list(pool.map(lambda task: task(), tasks))",
-        "results = [f.result() for f in [pool.submit(t) for t in tasks]]",
+        "pool.map(lambda task: task[2](), tasks)",
+        "(f.result() for f in [pool.submit(task[2]) for task in tasks])",
         (
             "test_experiment.py::TestReduce::test_failing_task_drops_the_queue",
             "test_cli.py::TestRun::test_interrupt_inside_a_pool_task_exits_130",
         ),
     ),
+    "results-collected-before-folding": (
+        "src/lgwave/experiment.py",
+        "pool.map(lambda task: task[2](), tasks)",
+        "list(pool.map(lambda task: task[2](), tasks))",
+        (
+            "test_experiment.py::TestReduce::test_results_folded_as_they_arrive",
+            "test_experiment.py::TestReduce::test_failing_fold_drops_the_queue",
+        ),
+    ),
     "shared-chunk-to-next-rep": (
         "src/lgwave/experiment.py",
-        "point_accs[j // len(chunks)]",
-        "point_accs[(j // len(chunks) + 1) % plan.reps]",
+        "point_accs[rep]",
+        "point_accs[(rep + 1) % plan.reps]",
         REDUCE_CASES,
     ),
     # a reduction that depends on LGWAVE_WORKERS unless it is 1 or unset
     "shared-chunks-to-rep-0-on-many-workers": (
         "src/lgwave/experiment.py",
-        "point_accs[j // len(chunks)]",
-        'point_accs[j // len(chunks) if os.environ.get("LGWAVE_WORKERS", "1") == "1" else 0]',
+        "point_accs[rep]",
+        'point_accs[rep if os.environ.get("LGWAVE_WORKERS", "1") == "1" else 0]',
         (DETERMINISM,),
     ),
     "shared-chunk-rep-modulo": (
         "src/lgwave/experiment.py",
-        "point_accs[j // len(chunks)]",
-        "point_accs[j % len(chunks)]",
+        "(rep, None, partial(_shared_chunk_task, plans, rep, c))",
+        "(c % plan.reps, None, partial(_shared_chunk_task, plans, rep, c))",
         REDUCE_CASES,
     ),
     "shared-sweep-without-shared-pass": (
@@ -520,6 +529,12 @@ MUTANTS = {
         "all(isinstance(g, list) and g for g in",
         "all(isinstance(g, list) for g in",
         ("test_cli.py::test_invalid_input_exits_2[sweep-grid-empty]",),
+    ),
+    "list-flag-holes-skipped": (
+        "src/lgwave/cli.py",
+        'return [float(x) for x in text.split(",")]',
+        'return [float(x) for x in text.split(",") if x.strip()]',
+        ("test_cli.py::TestSettingsTable::test_list_flag_has_no_empty_entries",),
     ),
     "flag-abbreviations-accepted": (
         "src/lgwave/cli.py",

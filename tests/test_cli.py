@@ -270,6 +270,7 @@ SETTING_VALUES = {
 UNMIRRORED = {"r", "sweep_r", "sweep_gamma", "out"}
 SETTINGS = [pytest.param(f, id=f.name) for f in fields(RunConfig)]
 FLOAT_SETTINGS = [pytest.param(f, id=f.name) for f in fields(RunConfig) if "float" in f.type]
+LIST_SETTINGS = [pytest.param(f, id=f.name) for f in fields(RunConfig) if f.type == "list[float]"]
 COMMANDS = ("run", "sweep", "oracle", "contexts")
 
 
@@ -321,6 +322,14 @@ class TestSettingsTable:
         from_key = load_config(build_parser().parse_args([command, "--config", str(path)]))
         assert repr(getattr(from_key, f.name)) == repr(getattr(from_flag, f.name))
         assert getattr(from_key, f.name) == value
+
+    @pytest.mark.parametrize("f", LIST_SETTINGS)
+    def test_list_flag_has_no_empty_entries(self, f):
+        # a config list holds only numbers, so the flag may not skip an entry
+        for text in ("0.5,,1.0", "0.5,", ",1.5", ""):
+            with pytest.raises(SystemExit) as raised:
+                build_parser().parse_args([commands_of(f)[0], flag(f), text])
+            assert raised.value.code == 2, text
 
     @pytest.mark.parametrize("f", SETTINGS)
     def test_flag_on_its_commands_only(self, f):
@@ -399,7 +408,7 @@ INVALID_ROWS = [
     bad("sweep-gamma-negative", ["sweep", "--sweep-gamma=-1", *SMALL], "gamma"),
     bad("sweep-grid-r-400", [*SWEEP, "--r", "400"], "r"),
     bad("sweep-grid-gamma-negative", [*SWEEP, "--gamma", "-1"], "gamma"),
-    bad("sweep-grid-empty", ["sweep", "--sweep-r", "", *SMALL], "sweep grids"),
+    bad("sweep-grid-empty", ["sweep", *SMALL], "sweep grids", config='{"sweep_r": []}'),
     bad("config-not-object", ["run", "--reps", "1"], "config file", config="[]"),
     bad("config-unknown-key", ["run", *SMALL], "unknown config keys:", config='{"sample": 4096}'),
     bad("config-samples-string", ["run", "--reps", "1"], "samples", config='{"samples": "2048"}'),

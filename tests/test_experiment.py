@@ -1,4 +1,6 @@
 import os
+import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +31,7 @@ from lgwave.harness import (
     run_context,
 )
 from lgwave.optics import OpticalParams, SourceParams
-from lgwave.stats import INTERROGATING, w_decomposition
+from lgwave.stats import INTERROGATING, EfficiencyAccumulator, w_decomposition
 
 
 def plan(**kwargs):
@@ -129,6 +131,57 @@ class TestReduce:
         with pytest.raises(RuntimeError, match="task failed"):
             run_experiment(plan(reps=3))
         assert len(calls) <= 2
+
+    def test_failing_fold_drops_the_queue(self, monkeypatch):
+        # merging the first result fails: the error surfaces without the
+        # queued tasks running first (the one worker may have started the next one)
+        calls = []
+
+        def chunk_task(plans, rep, chunk):
+            calls.append((rep, chunk))
+            return [EfficiencyAccumulator() for _ in plans]
+
+        def failing_merge(self, other):
+            raise RuntimeError("fold failed")
+
+        monkeypatch.setattr(experiment, "_shared_chunk_task", chunk_task)
+        monkeypatch.setattr(EfficiencyAccumulator, "merge", failing_merge)
+        monkeypatch.setenv("LGWAVE_WORKERS", "1")
+        with pytest.raises(RuntimeError, match="fold failed"):
+            _reduce([plan(samples=3 * CHUNK, reps=4, mode=MODE_SHARED)], efficiency=True)
+        assert len(calls) <= 2
+
+    def test_results_folded_as_they_arrive(self, monkeypatch):
+        # a pool whose map runs each task when its result is asked for: the
+        # driver holds the result it folds and the one being computed, not
+        # every task's
+        class LazyPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return (fn(x) for x in items)
+
+        refs = []
+        held = []
+
+        def chunk_task(plans, rep, chunk):
+            result = [EfficiencyAccumulator() for _ in plans]
+            refs.extend(map(weakref.ref, result))
+            held.append(sum(r() is not None for r in refs) // len(plans))
+            return result
+
+        monkeypatch.setattr(experiment, "ThreadPoolExecutor", LazyPool)
+        monkeypatch.setattr(experiment, "_shared_chunk_task", chunk_task)
+        p = plan(samples=3 * CHUNK, reps=4, mode=MODE_SHARED)
+        _reduce([p, replace(p, gamma=1.5)], efficiency=True)
+        assert len(held) == 12 and max(held) <= 2, held
 
 
 class TestHeraldRate:
